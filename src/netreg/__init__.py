@@ -16,6 +16,7 @@ from .errors import (
     DisconnectedError,
     EtaOutOfRangeError,
     InfeasibleError,
+    InvariantError,
     InvalidSizeError,
     NegativeWeightError,
     NetregError,

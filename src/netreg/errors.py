@@ -105,7 +105,12 @@ class SingularSystemError(NumericalError):
 
 
 class InfeasibleError(NumericalError):
-    """The feasible price set appears to be empty."""
+    """The feasible price set is empty."""
+
+
+class InvariantError(NumericalError):
+    """A computed quantity broke a property the model guarantees for valid
+    inputs, such as a positive Perron vector; the result is not trusted."""
 
 
 class SweepError(NumericalError):

@@ -26,6 +26,7 @@ import numpy as np
 from . import network as netmod
 from .errors import (
     DimensionMismatchError,
+    InvariantError,
     OutOfRangeError,
     SpectralBoundError,
     ValidationError,
@@ -156,7 +157,8 @@ def a_statistic(prim: MarketPrimitives, p) -> float:
     p = _check_price(prim, p)
     w1 = eigencentrality(prim.net)
     denom = float(w1 @ half_gap(prim))
-    assert denom > 0.0
+    if not denom > 0.0:
+        raise InvariantError(f"centrality-weighted markup {denom!r} must be positive")
     return float(w1 @ (p - unrestricted_price(prim))) / denom
 
 

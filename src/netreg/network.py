@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     DisconnectedError,
     InvalidSizeError,
+    InvariantError,
     NegativeWeightError,
     NonzeroDiagonalError,
     NotSymmetricError,
@@ -208,7 +209,8 @@ def katz_bonacich(net: Network, delta: float, z: np.ndarray) -> np.ndarray:
 def eigencentrality(net: Network) -> np.ndarray:
     """Positive unit-norm leading eigenvector (eigenvector centrality)."""
     w1 = net.spectrum.eigenvectors[:, 0]
-    assert w1.min() > 0.0, "Perron vector of a connected graph must be positive"
+    if not w1.min() > 0.0:
+        raise InvariantError("Perron vector of a connected graph must be positive")
     return w1
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     EtaOutOfRangeError,
+    InvariantError,
     NoConvergenceError,
     OutOfRangeError,
     SingularSystemError,
@@ -108,12 +109,13 @@ def pareto_price_minus(prim: MarketPrimitives, u: float) -> np.ndarray:
     return _price_of_rho(prim, w, dhat, _rho_minus_u(prim, u))
 
 
-def _assert_monotone(g, lo, hi):
+def _check_monotone(g, lo, hi):
     # R_Pi is strictly decreasing along each branch; spot-check the bracket
     probes = [lo + t * (hi - lo) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     vals = [g(t) for t in probes]
     for left, right in zip(vals, vals[1:]):
-        assert right <= left + 1e-12, "profit ratio is not decreasing on the bracket"
+        if not right <= left + 1e-12:
+            raise InvariantError("profit ratio is not decreasing on the bracket")
 
 
 def _bisect_newton(g, gprime, lo, hi, what):
@@ -172,7 +174,7 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
             base = phi * dhat**2
             return -2.0 * float(base @ (rho * drho)) / float(base.sum())
 
-        _assert_monotone(g, 0.0, hi)
+        _check_monotone(g, 0.0, hi)
         return _bisect_newton(g, gprime, 0.0, hi, "eta solve (plus branch)")
 
     def g(u):
@@ -184,7 +186,7 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
         base = phi * dhat**2
         return -2.0 * float(base @ (rho * drho)) / float(base.sum())
 
-    _assert_monotone(g, 0.0, 1.0)
+    _check_monotone(g, 0.0, 1.0)
     return _bisect_newton(g, gprime, 0.0, 1.0, "u solve (minus branch)")
 
 

@@ -13,18 +13,15 @@ the feasible set.  Supported set kinds:
 * ``Halfspaces([...])``     -- explicit list of (normal, offset) pairs
 
 Projection dispatch: Unrestricted and Uniform have closed forms (the
-uniform level is ``<1, H p_ur> / <1, H 1>``); AveragePrice is a single
-halfspace, projected exactly; everything else is decomposed into interval
-constraints ``lo <= <v, p> <= hi`` (opposing halfspace pairs grouped into
-one slab each) and run through Dykstra's alternating projection in the H
-inner product.  The per-slab projection is exact,
-
-    proj(q) = q - ((t - clamp(t, lo, hi)) / (v' Hinv v)) * Hinv v,
-    t = <v, q>,
-
-with ``Hinv = I - delta*G`` explicit, so every sub-projection is cheap and
-the only iteration is the outer Dykstra cycle, finished by an exact
-active-set polish once the duality gap is small.
+uniform level is ``<1, H p_ur> / <1, H 1>``), as do zero difference caps
+(the uniform line), a point box and AveragePrice (a single halfspace).
+Everything else is decomposed into halfspaces ``<v, p> <= m``
+(``halfspace_list``) and projected by the Goldfarb-Idnani dual active-set
+method in the H metric, which needs only ``Hinv = I - delta*G``
+explicitly.  It is finite: it adds the most violated halfspace, drops
+faces whose multipliers reach zero, and stops once no halfspace is
+violated by more than ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  An
+empty feasible set raises ``InfeasibleError``.
 
 Efficiency analysis: an equilibrium sits on the Pareto frontier iff the
 feasible set contains a frontier-family price and stays inside the
@@ -48,6 +45,7 @@ from .errors import (
     DimensionMismatchError,
     EtaOutOfRangeError,
     InfeasibleError,
+    InvariantError,
     NoConvergenceError,
     OutOfRangeError,
     UnsupportedRegulationError,
@@ -58,16 +56,14 @@ from .market import (
     WelfareOutcome,
     a_statistic,
     half_gap,
-    quad_form_h,
     ratios,
     unrestricted_price,
     welfare_outcome,
 )
 from .network import corr, eigencentrality, h_apply
 
-DYKSTRA_TOL = 1e-10
-DYKSTRA_MAX_CYCLES = 100_000
-DIVERGENCE_FACTOR = 1e8
+ACTIVE_SET_TOL = 1e-12
+ACTIVE_SET_STEPS_PER_HALFSPACE = 10
 MEMBERSHIP_TOL = 1e-9
 PROPORTIONALITY_TOL = 1e-10
 
@@ -90,7 +86,7 @@ class Uniform(RegulationSet):
 
 @dataclass(frozen=True, eq=False)
 class Box(RegulationSet):
-    """Price floors and ceilings; -inf / +inf entries disable a side."""
+    """Price floors and ceilings; a -inf floor or +inf ceiling disables a side."""
 
     kind = "box"
     lower: np.ndarray = None
@@ -101,6 +97,10 @@ class Box(RegulationSet):
         upper = np.asarray(self.upper, dtype=float).copy()
         if lower.ndim != 1 or lower.shape != upper.shape:
             raise ValidationError("box bounds must be equal-length vectors")
+        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+            raise ValidationError("box bounds must not be NaN")
+        if np.any(np.isposinf(lower)) or np.any(np.isneginf(upper)):
+            raise ValidationError("an absent floor is -inf and an absent ceiling +inf, not the reverse")
         if np.any(lower > upper):
             i = int(np.argmax(lower - upper))
             raise ValidationError(f"box is empty: lower[{i}]={lower[i]} > upper[{i}]={upper[i]}")
@@ -112,7 +112,8 @@ class Box(RegulationSet):
 
 @dataclass(frozen=True, eq=False)
 class PriceDifference(RegulationSet):
-    """|p_i - p_j| <= delta_matrix[i, j]; the matrix is symmetric, >= 0."""
+    """|p_i - p_j| <= delta_matrix[i, j]; the matrix is symmetric, >= 0,
+    and +inf where a pair has no cap."""
 
     kind = "price_difference"
     delta_matrix: np.ndarray = None
@@ -121,7 +122,9 @@ class PriceDifference(RegulationSet):
         d = np.asarray(self.delta_matrix, dtype=float).copy()
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("difference-cap matrix must be square")
-        if np.any(np.abs(d - d.T) > 1e-12 * np.maximum(1.0, np.abs(d))):
+        if np.any(np.isnan(d)):
+            raise ValidationError("difference caps must not be NaN")
+        if not np.allclose(d, d.T, rtol=1e-12, atol=1e-12):  # equal infinities count as equal
             raise ValidationError("difference-cap matrix must be symmetric")
         d = 0.5 * (d + d.T)
         if np.any(d < 0.0):
@@ -144,6 +147,11 @@ class AveragePrice(RegulationSet):
         theta = np.asarray(self.theta, dtype=float).copy()
         if theta.ndim != 1:
             raise ValidationError("average-price weights must be a vector")
+        if not np.all(np.isfinite(theta)):
+            raise ValidationError("average-price weights must be finite")
+        cap = float(self.cap)
+        if not np.isfinite(cap):
+            raise ValidationError(f"average-price cap must be finite, got {cap!r}")
         if np.any(theta < 0.0):
             raise ValidationError("average-price weights must be nonnegative")
         total = float(theta.sum())
@@ -152,12 +160,13 @@ class AveragePrice(RegulationSet):
         theta = theta / total
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "cap", float(self.cap))
+        object.__setattr__(self, "cap", cap)
 
 
 @dataclass(frozen=True, eq=False)
 class Halfspaces(RegulationSet):
-    """Intersection of explicit halfspaces <normal, p> <= offset."""
+    """Intersection of explicit halfspaces <normal, p> <= offset; an offset
+    of +inf constrains nothing."""
 
     kind = "halfspaces"
     constraints: tuple = None
@@ -168,44 +177,48 @@ class Halfspaces(RegulationSet):
             v = np.asarray(normal, dtype=float).copy()
             if v.ndim != 1 or not np.any(v != 0.0):
                 raise ValidationError("halfspace normal must be a nonzero vector")
+            if not np.all(np.isfinite(v)):
+                raise ValidationError("halfspace normal must be finite")
+            m = float(offset)
+            if np.isnan(m) or m == -np.inf:
+                raise ValidationError(f"halfspace offset must be a number or +inf (no bound), got {m!r}")
             v.setflags(write=False)
-            cleaned.append((v, float(offset)))
+            cleaned.append((v, m))
         if not cleaned:
             raise ValidationError("halfspace list must be nonempty")
         object.__setattr__(self, "constraints", tuple(cleaned))
 
 
 def halfspace_list(k: RegulationSet, n: int) -> list[tuple[np.ndarray, float]]:
-    """Decompose a set into halfspaces (infinite box bounds are skipped)."""
+    """Decompose a set into halfspaces ``<v, p> <= m``.
+
+    Halfspaces with an infinite offset (an absent floor, ceiling or cap)
+    constrain nothing and are dropped.
+    """
     if isinstance(k, Box):
         _check_dim(k.lower.shape[0], n)
         out = []
         for i in range(n):
-            if np.isfinite(k.upper[i]):
-                v = np.zeros(n)
-                v[i] = 1.0
-                out.append((v, float(k.upper[i])))
-            if np.isfinite(k.lower[i]):
-                v = np.zeros(n)
-                v[i] = -1.0
-                out.append((v, -float(k.lower[i])))
-        return out
-    if isinstance(k, PriceDifference):
+            v = np.zeros(n)
+            v[i] = 1.0
+            out += [(v, float(k.upper[i])), (-v, -float(k.lower[i]))]
+    elif isinstance(k, PriceDifference):
         _check_dim(k.delta_matrix.shape[0], n)
         out = []
         for i, j in itertools.permutations(range(n), 2):
             v = np.zeros(n)
             v[i], v[j] = 1.0, -1.0
             out.append((v, float(k.delta_matrix[i, j])))
-        return out
-    if isinstance(k, AveragePrice):
+    elif isinstance(k, AveragePrice):
         _check_dim(k.theta.shape[0], n)
-        return [(k.theta.copy(), k.cap)]
-    if isinstance(k, Halfspaces):
+        out = [(k.theta.copy(), k.cap)]
+    elif isinstance(k, Halfspaces):
         for v, _ in k.constraints:
             _check_dim(v.shape[0], n)
-        return [(v.copy(), m) for v, m in k.constraints]
-    raise UnsupportedRegulationError(f"no halfspace form for kind {k.kind!r}")
+        out = [(v.copy(), m) for v, m in k.constraints]
+    else:
+        raise UnsupportedRegulationError(f"no halfspace form for kind {k.kind!r}")
+    return [(v, m) for v, m in out if np.isfinite(m)]
 
 
 def _check_dim(got, n):
@@ -227,143 +240,66 @@ def contains(prim: MarketPrimitives, k: RegulationSet, p, tol: float = MEMBERSHI
     return True
 
 
-def _slab_list(k: RegulationSet, n: int) -> list[tuple[np.ndarray, float, float]]:
-    """Interval constraints (v, lo, hi) meaning lo <= <v, p> <= hi.
+def _active_set_projection(prim: MarketPrimitives, halfspaces, q):
+    """Goldfarb-Idnani dual active-set projection of q in the H metric.
 
-    Opposing halfspace pairs (box sides, the two orientations of a
-    difference cap) are grouped into one slab each, so every
-    sub-projection inside Dykstra lands exactly on the feasible interval
-    instead of bouncing between two nearly parallel faces.
+    Keeps ``H(q - x) = V_A' mu`` with ``mu >= 0`` and the active faces
+    ``V_A x = b_A`` while it adds the most violated halfspace p: the
+    primal step is ``-t z`` with ``z = Hinv (v_p - V_A' r)``, where ``r``
+    solves the active Gram system ``V_A Hinv V_A' r = V_A Hinv v_p``, and
+    the multipliers move by ``-t r`` (``+t`` for p).  The step stops where
+    p becomes tight or where an active multiplier reaches zero, which drops
+    that face.  If ``z = 0`` (v_p is a combination of active normals) and
+    no multiplier can reach zero, no point satisfies p together with the
+    active faces: the set is empty.
     """
-    if isinstance(k, Box):
-        _check_dim(k.lower.shape[0], n)
-        out = []
-        for i in range(n):
-            if np.isfinite(k.lower[i]) or np.isfinite(k.upper[i]):
-                v = np.zeros(n)
-                v[i] = 1.0
-                out.append((v, float(k.lower[i]), float(k.upper[i])))
-        return out
-    if isinstance(k, PriceDifference):
-        _check_dim(k.delta_matrix.shape[0], n)
-        out = []
-        for i, j in itertools.combinations(range(n), 2):
-            v = np.zeros(n)
-            v[i], v[j] = 1.0, -1.0
-            cap = float(k.delta_matrix[i, j])
-            out.append((v, -cap, cap))
-        return out
-    if isinstance(k, AveragePrice):
-        _check_dim(k.theta.shape[0], n)
-        return [(k.theta.copy(), -np.inf, k.cap)]
-    if isinstance(k, Halfspaces):
-        for v, _ in k.constraints:
-            _check_dim(v.shape[0], n)
-        return [(v.copy(), -np.inf, m) for v, m in k.constraints]
-    raise UnsupportedRegulationError(f"no slab form for kind {k.kind!r}")
-
-
-def _polish_active_set(q, hinv, slabs, coefs, vmat, los, his, feas_slack):
-    """Exact solve on the active set Dykstra identified, or None.
-
-    Every Dykstra correction is a scalar multiple of its slab direction, so
-    the correction coefficients are (converging) KKT multipliers; their
-    signs name the active faces.  Projecting onto those faces as equalities
-    is one small linear solve; if the result is feasible and its
-    multipliers carry the right signs it satisfies the KKT system exactly
-    and is returned as the projection.
-    """
-    floor = 1e-12 * (1.0 + float(np.abs(coefs).max()))
-    active = [k for k, c in enumerate(coefs) if abs(c) > floor]
-    if not active:
-        return q.copy() if _within(vmat @ q, los, his, feas_slack) else None
-    v_a = vmat[active]
-    b_a = np.array([his[k] if coefs[k] > 0 else los[k] for k in active])
-    if not np.all(np.isfinite(b_a)):
-        return None
-    hinv_vt = hinv @ v_a.T
-    gram = v_a @ hinv_vt
-    rhs = v_a @ q - b_a
-    try:
-        mult = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        mult, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    x = q - hinv_vt @ mult
-    if np.abs(v_a @ x - b_a).max() > feas_slack:
-        return None  # inconsistent active set
-    if not _within(vmat @ x, los, his, feas_slack):
-        return None
-    sign_tol = 1e-9 * (1.0 + float(np.abs(mult).max()))
-    for k, mu in zip(active, mult):
-        if coefs[k] > 0 and mu < -sign_tol:
-            return None
-        if coefs[k] < 0 and mu > sign_tol:
-            return None
-    return x
-
-
-def _within(levels, los, his, slack):
-    return bool(np.all(levels <= his + slack) and np.all(levels >= los - slack))
-
-
-def _dykstra(prim: MarketPrimitives, slabs, q):
-    """Dykstra's alternating projection in the H inner product.
-
-    Corrections stay parallel to the fixed directions ``Hinv v_k``, so the
-    iterate always satisfies ``H(q - x) = sum_k coef_k v_k`` exactly and
-    only feasibility plus complementary slackness remain to converge.  A
-    cycle whose iterate moves less than ``DYKSTRA_TOL * (1 + ||q||_H)`` in
-    H-norm and whose slackness products are small triggers a terminal
-    active-set polish that returns an exact KKT point; runaway iterates or
-    correction coefficients trip the emptiness heuristic.
-    """
-    n = q.shape[0]
-    hinv = np.eye(n) - prim.delta * prim.net.adjacency
-    vmat = np.array([v for v, _, _ in slabs])
-    dirs = (hinv @ vmat.T).T
-    norms = np.einsum("kn,kn->k", vmat, dirs)
-    los = np.array([lo for _, lo, _ in slabs])
-    his = np.array([hi for _, _, hi in slabs])
-    m = len(slabs)
+    vmat = np.array([v for v, _ in halfspaces])
+    offsets = np.array([m for _, m in halfspaces])
+    hv = vmat.T - prim.delta * (prim.net.adjacency @ vmat.T)  # Hinv V', one column per halfspace
+    curvature = np.einsum("kn,nk->k", vmat, hv)  # v' Hinv v > 0
+    tol = ACTIVE_SET_TOL * (1.0 + float(np.abs(q).max())) * np.abs(vmat).sum(axis=1)
     x = q.copy()
-    coefs = np.zeros(m)
-    move_scale = DYKSTRA_TOL * (1.0 + np.sqrt(quad_form_h(prim, q)))
-    feas_slack = MEMBERSHIP_TOL * (1.0 + float(np.abs(q).max()))
-    gap_scale = 1e-9 * (1.0 + float(np.abs(q).max())) ** 2
-    escape = DIVERGENCE_FACTOR * max(1.0, float(np.linalg.norm(q)))
-    coef_escape = 1e6 * (1.0 + float(np.linalg.norm(q)))
-    for _ in range(DYKSTRA_MAX_CYCLES):
-        x_prev = x
-        for k in range(m):
-            y = x + coefs[k] * dirs[k]
-            t = float(vmat[k] @ y)
-            target = min(max(t, los[k]), his[k])
-            coefs[k] = (t - target) / norms[k]
-            x = y - coefs[k] * dirs[k]
-        move = x - x_prev
-        if np.sqrt(max(quad_form_h(prim, move), 0.0)) <= move_scale:
-            levels = vmat @ x
-            if _within(levels, los, his, feas_slack):
-                # duality gap: multipliers must pair with active faces
-                # (a positive coefficient implies a finite upper face and
-                # vice versa, so these products are always finite)
-                pos, neg = coefs > 0.0, coefs < 0.0
-                gap_total = float(
-                    np.abs(coefs[pos] * norms[pos] * (his[pos] - levels[pos])).sum()
-                    + np.abs(coefs[neg] * norms[neg] * (levels[neg] - los[neg])).sum()
-                )
-                if gap_total <= gap_scale:
-                    polished = _polish_active_set(q, hinv, slabs, coefs, vmat, los, his, feas_slack)
-                    if polished is not None:
-                        return polished
-                    return x
-        if float(np.linalg.norm(x)) > escape or float(np.abs(coefs).max()) * float(
-            np.abs(dirs).max()
-        ) > coef_escape:
-            raise InfeasibleError("projection diverged; feasible set looks empty")
+    active, mu, gram = [], np.zeros(0), np.zeros((0, 0))
+    p = None
+    for _ in range(ACTIVE_SET_STEPS_PER_HALFSPACE * len(halfspaces)):
+        if p is None:
+            violation = vmat @ x - offsets - tol
+            violation[active] = -np.inf
+            p = int(np.argmax(violation))
+            if violation[p] <= 0.0:
+                # one refinement step back onto the active faces, which the
+                # steps drift off when the Gram system is ill-conditioned
+                return x - hv[:, active] @ np.linalg.solve(gram, vmat[active] @ x - offsets[active])
+            mu_p = 0.0
+        cross = vmat[active] @ hv[:, p]
+        r = np.linalg.solve(gram, cross)
+        z = hv[:, p] - hv[:, active] @ r
+        along = float(vmat[p] @ z)  # z' H z: zero when v_p is a combination of active normals
+        full = np.inf
+        if along > ACTIVE_SET_TOL * curvature[p]:
+            full = (float(vmat[p] @ x) - offsets[p]) / along
+        ratio = np.full(len(active), np.inf)
+        np.divide(mu, r, out=ratio, where=r > 0.0)
+        step = min(full, ratio.min(initial=np.inf))
+        if step == np.inf:
+            raise InfeasibleError("feasible set is empty: a violated halfspace contradicts the binding ones")
+        if full < np.inf:
+            x = x - step * z
+        mu = mu - step * r
+        mu_p += step
+        if step == full:
+            active.append(p)
+            mu = np.append(mu, mu_p)
+            gram = np.block([[gram, cross[:, None]], [cross[None, :], np.array([[curvature[p]]])]])
+            p = None
+        else:
+            j = int(np.argmin(ratio))
+            del active[j]
+            mu = np.delete(mu, j)
+            gram = np.delete(np.delete(gram, j, axis=0), j, axis=1)
     raise NoConvergenceError(
-        f"projection not converged after {DYKSTRA_MAX_CYCLES} cycles "
-        f"(ill-conditioned geometry or an empty feasible set)"
+        f"active-set projection took more than {ACTIVE_SET_STEPS_PER_HALFSPACE} steps per halfspace "
+        f"(cycling from rounding)"
     )
 
 
@@ -377,9 +313,11 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     """Firm's optimal regulated price: H-norm projection of p_ur onto K.
 
     Closed forms handle the unrestricted, uniform, average-price,
-    zero-cap-difference (which is the uniform line), single-constraint,
-    and fixed-price (point box) cases exactly; everything else runs
-    Dykstra over the slab decomposition.
+    zero-cap-difference (which is the uniform line) and fixed-price (point
+    box) cases exactly.  Everything else runs the finite dual active-set
+    method over ``halfspace_list(k)``; it returns once no halfspace is
+    violated by more than ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``
+    and raises ``InfeasibleError`` when the set is empty.
     """
     q = unrestricted_price(prim)
     if isinstance(k, Unrestricted):
@@ -401,10 +339,10 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
         if slack <= 0.0:
             return q
         return q - (slack / float(k.theta @ hinv_theta)) * hinv_theta
-    slabs = _slab_list(k, prim.n)
-    if not slabs:
-        return q  # box with all bounds infinite
-    return _dykstra(prim, slabs, q)
+    halfspaces = halfspace_list(k, prim.n)
+    if not halfspaces:
+        return q  # every bound infinite
+    return _active_set_projection(prim, halfspaces, q)
 
 
 def equilibrium_outcome(prim: MarketPrimitives, k: RegulationSet) -> WelfareOutcome:
@@ -555,8 +493,7 @@ def a_interval(prim: MarketPrimitives, k: RegulationSet) -> AStatInterval:
         return AStatInterval(-np.inf, np.inf)
     if isinstance(k, Halfspaces):
         lo, hi, resolved = -np.inf, np.inf, True
-        for v, m in k.constraints:
-            _check_dim(v.shape[0], prim.n)
+        for v, m in halfspace_list(k, prim.n):
             norm = float(np.linalg.norm(v))
             align = float(v @ w1) / norm  # w1 is unit, so this is the cosine
             if align >= 1.0 - PROPORTIONALITY_TOL:
@@ -599,7 +536,8 @@ def classify_limit(prim: MarketPrimitives, k: RegulationSet) -> LimitClassificat
         label, a_star = Classification.PARETO_EFFICIENT, interval.upper
     else:
         label, a_star = Classification.NEUTRAL, 0.0
-    assert np.isfinite(a_star), "a nonempty set cannot have an infinite minimiser"
+    if not np.isfinite(a_star):
+        raise InvariantError("a nonempty set cannot have an infinite minimiser")
     return LimitClassification(
         label=label,
         a_star=float(a_star),

@@ -3,10 +3,7 @@
 A sweep evaluates one scenario on its spillover grid: at each value it
 projects the unrestricted price onto the regulation, records the welfare
 ratios and the average-deviation statistic, solves the frontier point at
-the equilibrium profit ratio, and reports the vertical gap to it.  Rows
-are independent across grid points; set ``NETREG_MAX_THREADS`` to evaluate
-them concurrently (output order is by spillover either way, and output
-bytes are identical).
+the equilibrium profit ratio, and reports the vertical gap to it.
 
 The named experiments reproduce the desk-scale figure data: the
 core-periphery uniform-pricing cases, the complete-graph control, the
@@ -14,8 +11,6 @@ difference-cap families, and the complete-bipartite variants.  Each
 returns ``{stem: rows}``; multi-cap families get one stem per cap value.
 """
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 
 from .errors import NetregError, SweepError, UnknownExperimentError
@@ -58,35 +53,21 @@ def _row_at(scenario: Scenario, delta: float) -> SweepRow:
     )
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("NETREG_MAX_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """One SweepRow per grid spillover, ordered ascending.
 
     A failure at any grid point aborts the sweep with the offending value
     named in the exception.
     """
-    deltas = delta_grid(scenario)
-
-    def evaluate(delta):
+    rows = []
+    for delta in delta_grid(scenario):
         try:
-            return _row_at(scenario, float(delta))
+            rows.append(_row_at(scenario, float(delta)))
         except SweepError:
             raise
         except NetregError as err:
             raise SweepError(float(delta), err) from err
-
-    workers = _max_threads()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, deltas))
-    return [evaluate(d) for d in deltas]
+    return rows
 
 
 def emit_csv(rows, destination) -> None:

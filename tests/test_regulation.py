@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -52,11 +54,51 @@ class TestSetValidation:
         with pytest.raises(netreg.ValidationError):
             netreg.Halfspaces(constraints=((np.zeros(2), 1.0),))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: netreg.Box(lower=np.array([np.nan, 0.0]), upper=np.array([1.0, 1.0])),
+            lambda: netreg.Box(lower=np.array([0.0, 0.0]), upper=np.array([1.0, np.nan])),
+            lambda: netreg.Box(lower=np.array([np.inf, 0.0]), upper=np.array([np.inf, 1.0])),
+            lambda: netreg.Box(lower=np.array([-np.inf, 0.0]), upper=np.array([-np.inf, 1.0])),
+            lambda: netreg.PriceDifference(delta_matrix=np.array([[0.0, np.nan], [np.nan, 0.0]])),
+            lambda: netreg.AveragePrice(theta=np.array([np.nan, 1.0]), cap=1.0),
+            lambda: netreg.AveragePrice(theta=np.array([0.5, 0.5]), cap=np.nan),
+            lambda: netreg.AveragePrice(theta=np.array([0.5, 0.5]), cap=np.inf),
+            lambda: netreg.Halfspaces(constraints=((np.array([np.nan, 1.0]), 1.0),)),
+            lambda: netreg.Halfspaces(constraints=((np.array([np.inf, 1.0]), 1.0),)),
+            lambda: netreg.Halfspaces(constraints=((np.array([1.0, 0.0]), np.nan),)),
+            lambda: netreg.Halfspaces(constraints=((np.array([1.0, 0.0]), -np.inf),)),
+        ],
+        ids=[
+            "box-nan-floor",
+            "box-nan-ceiling",
+            "box-inf-floor",
+            "box-minus-inf-ceiling",
+            "difference-nan-cap",
+            "average-nan-weight",
+            "average-nan-cap",
+            "average-inf-cap",
+            "halfspace-nan-normal",
+            "halfspace-inf-normal",
+            "halfspace-nan-offset",
+            "halfspace-minus-inf-offset",
+        ],
+    )
+    def test_non_finite_rejected(self, make):
+        with pytest.raises(netreg.ValidationError):
+            make()
+
     def test_halfspace_decomposition_counts(self):
         box = netreg.Box(lower=np.array([0.0, -np.inf]), upper=np.array([1.0, 2.0]))
         assert len(halfspace_list(box, 2)) == 3  # skips the infinite floor
         diff = random_difference_caps(np.random.default_rng(0), 4)
         assert len(halfspace_list(diff, 4)) == 12  # n(n-1) one-sided constraints
+        open_pair = np.array(diff.delta_matrix)
+        open_pair[0, 1] = open_pair[1, 0] = np.inf
+        assert len(halfspace_list(netreg.PriceDifference(delta_matrix=open_pair), 4)) == 10
+        v = np.array([1.0, 0.0])
+        assert len(halfspace_list(netreg.Halfspaces(constraints=((v, 1.0), (-v, np.inf))), 2)) == 1
 
 
 class TestProjectionClosedForms:
@@ -172,6 +214,23 @@ class TestProjectionOracle:
         empty = netreg.Halfspaces(constraints=((v, -1e4), (-v, -1e4)))
         with pytest.raises(netreg.InfeasibleError):
             netreg.project(prim, empty)
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            ((np.eye(9)[0], 1.0), (-np.eye(9)[0], -2.0)),
+            tuple((np.eye(9)[i] - np.eye(9)[(i + 1) % 3], -1.0) for i in range(3)),
+        ],
+        ids=["empty-box", "contradictory-3-cycle"],
+    )
+    def test_empty_set_detected_fast(self, constraints):
+        empty = netreg.Halfspaces(constraints=constraints)
+        for fraction in (0.05, 0.5, 0.999):
+            prim = cp_prim(fraction)
+            start = time.perf_counter()
+            with pytest.raises(netreg.InfeasibleError):
+                netreg.project(prim, empty)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestEquilibriumOutcome:
@@ -350,6 +409,8 @@ class TestAInterval:
         interval = netreg.a_interval(prim, reg)
         assert interval.exact
         assert interval.upper == pytest.approx(1.0 / float(w1 @ half_gap(prim)), rel=1e-9)
+        with_open_face = netreg.Halfspaces(constraints=reg.constraints + ((np.eye(4)[0], np.inf),))
+        assert netreg.a_interval(prim, with_open_face) == interval
         generic = netreg.Halfspaces(constraints=((np.eye(4)[0], 3.0),))
         assert not netreg.a_interval(prim, generic).exact
 

@@ -155,13 +155,6 @@ class TestSweep:
         assert err.value.delta is not None
         assert str(err.value.delta) in str(err.value)
 
-    def test_thread_env(self, monkeypatch):
-        monkeypatch.setenv("NETREG_MAX_THREADS", "4")
-        rows_threaded = netreg.run_sweep(parse_scenario(CP_UNIFORM))
-        monkeypatch.delenv("NETREG_MAX_THREADS")
-        rows_serial = netreg.run_sweep(parse_scenario(CP_UNIFORM))
-        assert rows_threaded == rows_serial
-
 
 class TestCsv:
     def test_header_and_length(self, tmp_path):
