@@ -100,6 +100,7 @@ from .regulation import (
     iota,
     pareto_certificate,
     project,
+    uniform_price,
 )
 from .discrimination import (
     PsiStatistic,
@@ -111,7 +112,6 @@ from .discrimination import (
     regular_graph_rv_shift,
     small_delta_gain,
     two_type_welfare_direction,
-    uniform_price,
     verify_two_type,
     welfare_direction_large_delta,
 )

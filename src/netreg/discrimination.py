@@ -35,7 +35,7 @@ from .errors import (
 )
 from .market import MarketPrimitives, ratios, unrestricted_price
 from .network import Network, demean, eigencentrality, h_apply, is_regular
-from .regulation import Uniform, project
+from .regulation import uniform_price
 
 CONSTANCY_TOL = 1e-8
 RATIO_TOL = 1e-6
@@ -52,14 +52,6 @@ class WelfareDirection(enum.Enum):
     CONSUMERS_GAIN = "consumers_gain"
     CONSUMERS_LOSE = "consumers_lose"
     INDETERMINATE = "indeterminate"
-
-
-def uniform_price(prim: MarketPrimitives) -> np.ndarray:
-    """Optimal single price level: ``<1, H p_ur> / <1, H 1>`` on every market."""
-    ones = np.ones(prim.n)
-    h_ones = h_apply(prim.net, prim.delta, ones)
-    level = float(h_ones @ unrestricted_price(prim)) / float(h_ones @ ones)
-    return level * ones
 
 
 def psi(net: Network) -> PsiStatistic:
@@ -264,8 +256,3 @@ def regular_graph_rv_shift(prim: MarketPrimitives) -> tuple[float, float]:
     weights = 1.0 / (1.0 - prim.delta * lam[1:]) ** 2
     spectral = float(weights @ (proj_a**2 - proj_d**2))
     return r_v - 1.0, spectral
-
-
-def banned_outcome(prim: MarketPrimitives):
-    """(R_V, R_Pi) at the optimal uniform price; convenience for sweeps."""
-    return ratios(prim, project(prim, Uniform()))

@@ -33,7 +33,7 @@ from .errors import (
     OutOfRangeError,
     SingularSystemError,
 )
-from .market import MarketPrimitives, half_gap, ratios, unrestricted_price
+from .market import MarketPrimitives, half_gap, unrestricted_price
 
 RESIDUAL_TOL = 1e-12
 MAX_BISECTIONS = 200
@@ -195,17 +195,21 @@ def eta_hat_plus(prim: MarketPrimitives) -> float:
     return solve_eta_for_tau(prim, 0.0, "plus")
 
 
+def rv_plus(prim: MarketPrimitives, tau: float) -> float:
+    """R_V_plus: the largest surplus ratio achievable at profit ratio tau."""
+    _, _, dhat, phi = _spectral_parts(prim)
+    eta = solve_eta_for_tau(prim, tau, "plus")
+    return _r_v_of_rho(phi, dhat, _rho_plus(prim, eta))
+
+
 def rv_bounds(prim: MarketPrimitives, tau: float) -> tuple[float, float]:
     """(R_V_minus, R_V_plus): the surplus ratios achievable at profit ratio tau.
 
     Every surplus ratio between the two is feasible at that profit level.
     """
     _, _, dhat, phi = _spectral_parts(prim)
-    eta = solve_eta_for_tau(prim, tau, "plus")
     u = solve_eta_for_tau(prim, tau, "minus")
-    r_v_plus = _r_v_of_rho(phi, dhat, _rho_plus(prim, eta))
-    r_v_minus = _r_v_of_rho(phi, dhat, _rho_minus_u(prim, u))
-    return r_v_minus, r_v_plus
+    return _r_v_of_rho(phi, dhat, _rho_minus_u(prim, u)), rv_plus(prim, tau)
 
 
 def ramsey_price(prim: MarketPrimitives, eta_plus: float) -> np.ndarray:
@@ -291,8 +295,3 @@ def av_rv_bounds(tau: float) -> tuple[float, float]:
         raise OutOfRangeError(f"tau={tau!r} must lie in [0, 1]")
     root = np.sqrt(1.0 - tau)
     return (1.0 - root) ** 2, (1.0 + root) ** 2
-
-
-def check_point(prim: MarketPrimitives, point: ParetoPoint) -> tuple[float, float]:
-    """(R_Pi at plus price, R_Pi at minus price) for external verification."""
-    return ratios(prim, point.price_plus)[1], ratios(prim, point.price_minus)[1]

@@ -54,7 +54,6 @@ from .errors import (
 from .market import (
     MarketPrimitives,
     WelfareOutcome,
-    a_statistic,
     half_gap,
     ratios,
     unrestricted_price,
@@ -303,10 +302,12 @@ def _active_set_projection(prim: MarketPrimitives, halfspaces, q):
     )
 
 
-def _uniform_level(prim: MarketPrimitives) -> float:
+def uniform_price(prim: MarketPrimitives) -> np.ndarray:
+    """Optimal single price level: ``<1, H p_ur> / <1, H 1>`` on every market."""
     ones = np.ones(prim.n)
     h_ones = h_apply(prim.net, prim.delta, ones)
-    return float(h_ones @ unrestricted_price(prim)) / float(h_ones @ ones)
+    level = float(h_ones @ unrestricted_price(prim)) / float(h_ones @ ones)
+    return level * ones
 
 
 def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
@@ -323,11 +324,11 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     if isinstance(k, Unrestricted):
         return q
     if isinstance(k, Uniform):
-        return _uniform_level(prim) * np.ones(prim.n)
+        return uniform_price(prim)
     if isinstance(k, PriceDifference) and not np.any(k.delta_matrix != 0.0):
         # all caps zero: the set is exactly the uniform-price line
         _check_dim(k.delta_matrix.shape[0], prim.n)
-        return _uniform_level(prim) * np.ones(prim.n)
+        return uniform_price(prim)
     if isinstance(k, Box) and np.array_equal(k.lower, k.upper):
         # fixed prices in every market: the set is a single point
         _check_dim(k.lower.shape[0], prim.n)
@@ -352,15 +353,15 @@ def equilibrium_outcome(prim: MarketPrimitives, k: RegulationSet) -> WelfareOutc
 
 def iota(prim: MarketPrimitives, eta_plus: float) -> np.ndarray:
     """Positive normal of the frontier's supporting halfspace at p(eta_plus):
-    ``H [I - 2*delta/(2-eta) G]^-1 (a - c)``."""
+    ``H [I - 2*delta/(2-eta) G]^-1 (a - c)``.  The inner factor is H at
+    spillover ``2*delta/(2-eta)``, which is admissible exactly when
+    ``eta < eta_max``."""
     if eta_plus < 0.0 or eta_plus >= paretomod.eta_max(prim):
         raise EtaOutOfRangeError(
             f"eta_plus={eta_plus!r} outside [0, {paretomod.eta_max(prim)!r})"
         )
-    n = prim.n
-    inner = np.eye(n) - (2.0 * prim.delta / (2.0 - eta_plus)) * prim.net.adjacency
-    y = np.linalg.solve(inner, prim.a - prim.c)
-    return h_apply(prim.net, prim.delta, y)
+    inner = h_apply(prim.net, 2.0 * prim.delta / (2.0 - eta_plus), prim.a - prim.c)
+    return h_apply(prim.net, prim.delta, inner)
 
 
 @dataclass(frozen=True)
@@ -561,12 +562,4 @@ def gap(prim: MarketPrimitives, k: RegulationSet) -> float:
             f"equilibrium profit ratio {tau_star!r} is negative; frontier undefined there"
         )
     tau_star = min(max(tau_star, 0.0), 1.0)
-    _, r_v_plus = _rv_plus_only(prim, tau_star)
-    return r_v_plus - r_v_star
-
-
-def _rv_plus_only(prim, tau):
-    eta = paretomod.solve_eta_for_tau(prim, tau, "plus")
-    _, _, dhat, phi = paretomod._spectral_parts(prim)
-    rho = paretomod._rho_plus(prim, eta)
-    return eta, paretomod._r_v_of_rho(phi, dhat, rho)
+    return paretomod.rv_plus(prim, tau_star) - r_v_star

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NetregError, SweepError, UnknownExperimentError
 from .market import MarketPrimitives, a_statistic, ratios
-from .pareto import _r_v_of_rho, _rho_plus, _spectral_parts, solve_eta_for_tau
+from .pareto import rv_plus
 from .regulation import project
 from .scenario import Scenario, delta_grid, parse_scenario, scenario_text
 
@@ -40,9 +40,7 @@ def _row_at(scenario: Scenario, delta: float) -> SweepRow:
     if r_pi_star < -1e-9:
         raise SweepError(delta, f"equilibrium profit ratio {r_pi_star!r} is negative")
     tau = min(max(r_pi_star, 0.0), 1.0)
-    eta = solve_eta_for_tau(prim, tau, "plus")
-    _, _, dhat, phi = _spectral_parts(prim)
-    r_v_plus = _r_v_of_rho(phi, dhat, _rho_plus(prim, eta))
+    r_v_plus = rv_plus(prim, tau)
     return SweepRow(
         delta=float(delta),
         r_v_star=r_v_star,

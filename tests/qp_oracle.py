@@ -33,19 +33,24 @@ def project_oracle(prim, halfspaces, tol=1e-9):
     best = None
     best_obj = np.inf
 
-    def consider(x):
+    def consider(candidates):
+        # candidates in enumeration order; the first minimum wins, so a
+        # later one replaces the best only when strictly closer
         nonlocal best, best_obj
-        if np.any(vmat @ x - offsets > feas_tol):
+        feasible = candidates[~np.any(candidates @ vmat.T - offsets > feas_tol, axis=1)]
+        if feasible.shape[0] == 0:
             return
-        diff = x - q
-        obj = float(diff @ h @ diff)
-        if obj < best_obj - 0.0:
-            best_obj = obj
-            best = x
+        diff = feasible - q
+        obj = np.einsum("kn,kn->k", diff @ h, diff)
+        i = int(np.argmin(obj))
+        if obj[i] < best_obj:
+            best_obj = float(obj[i])
+            best = feasible[i]
 
-    consider(q.copy())
+    consider(q[None, :])
     for size in range(1, rank + 1):
-        combos = np.array(list(itertools.combinations(range(m_count), size)))
+        flat = itertools.chain.from_iterable(itertools.combinations(range(m_count), size))
+        combos = np.fromiter(flat, dtype=np.intp).reshape(-1, size)
         grams = gram_full[combos[:, :, None], combos[:, None, :]]
         rhs = slack_full[combos]
         dets = np.linalg.det(grams)
@@ -55,8 +60,6 @@ def project_oracle(prim, halfspaces, tol=1e-9):
             continue
         mults = np.linalg.solve(grams[ok], rhs[ok][..., None])[..., 0]
         dirs = hinv_vt.T[combos[ok]]  # k x size x n
-        candidates = q[None, :] - np.einsum("ks,ksn->kn", mults, dirs)
-        for x in candidates:
-            consider(x)
+        consider(q[None, :] - np.einsum("ks,ksn->kn", mults, dirs))
     assert best is not None, "oracle found no feasible candidate"
     return best

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netreg
-from netreg.discrimination import WelfareDirection, banned_outcome, psi_finite_delta
+from netreg.discrimination import WelfareDirection, psi_finite_delta
 from netreg.market import delta_near_bound
 
 from conftest import random_connected_network, random_nonregular_network, theta_values
@@ -190,7 +190,7 @@ class TestWelfareDirection:
             prim = netreg.MarketPrimitives(
                 net=net, a=a, c=np.zeros(net.n), delta=delta_near_bound(net, 1e-4)
             )
-            r_v, r_pi = banned_outcome(prim)
+            r_v, r_pi = netreg.ratios(prim, netreg.project(prim, netreg.Uniform()))
             if direction is WelfareDirection.CONSUMERS_GAIN:
                 assert r_v > 1.0
             else:
@@ -205,7 +205,7 @@ class TestWelfareDirection:
         ratios_seq = []
         for k in range(2, 6):
             prim = cp_prim(1.0 - 10.0**-k)
-            r_v, _ = banned_outcome(prim)
+            r_v, _ = netreg.ratios(prim, netreg.project(prim, netreg.Uniform()))
             stat = netreg.a_statistic(prim, netreg.uniform_price(prim))
             gap = 1.0 / net.lambda1 - prim.delta
             ratios_seq.append(abs(r_v - (1.0 - stat) ** 2) / gap**2)

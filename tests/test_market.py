@@ -26,6 +26,11 @@ class TestPrimitivesValidation:
         with pytest.raises(netreg.SpectralBoundError):
             netreg.MarketPrimitives(net=dyad, a=np.array([2.0, 2.0]), c=np.zeros(2), delta=1.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta(self, dyad, delta):
+        with pytest.raises(netreg.SpectralBoundError, match="must be finite"):
+            netreg.MarketPrimitives(net=dyad, a=np.array([2.0, 2.0]), c=np.zeros(2), delta=delta)
+
     def test_shape(self, dyad):
         with pytest.raises(netreg.DimensionMismatchError):
             netreg.MarketPrimitives(net=dyad, a=np.ones(3), c=np.zeros(3), delta=0.1)

@@ -41,6 +41,12 @@ class TestBuildNetwork:
         net = netreg.build_network(g)
         assert net.adjacency[0, 1] == net.adjacency[1, 0]
 
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_non_finite_entry(self, weight):
+        g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, weight], [0.0, weight, 0.0]])
+        with pytest.raises(netreg.ValidationError, match=r"g\[1,2\]=(inf|nan) must be finite"):
+            netreg.build_network(g)
+
     def test_not_symmetric(self):
         with pytest.raises(netreg.NotSymmetricError):
             netreg.build_network([[0.0, 1.0], [2.0, 0.0]])
@@ -168,6 +174,16 @@ class TestLeontiefOperator:
             netreg.h_apply(dyad, 1.0, [1.0, 0.0])
         with pytest.raises(netreg.SpectralBoundError):
             netreg.h_apply(dyad, -0.1, [1.0, 0.0])
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, dyad, delta):
+        with pytest.raises(netreg.SpectralBoundError, match="must be finite"):
+            netreg.h_apply(dyad, delta, [1.0, 0.0])
+
+    def test_infinite_delta_rejected_without_edges(self):
+        # lambda_1 = 0, so delta * lambda_1 is nan and the bound check alone passes it
+        with pytest.raises(netreg.SpectralBoundError, match="must be finite"):
+            netreg.h_apply(netreg.build_network([[0.0]]), np.inf, [1.0])
 
     def test_dimension_mismatch(self, dyad):
         with pytest.raises(netreg.DimensionMismatchError):

@@ -296,6 +296,13 @@ class TestCli:
         assert main(["sweep", str(scen)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["inf", "nan"])
+    def test_non_finite_weight_exit_code(self, tmp_path, capsys, weight):
+        scen = tmp_path / "bad_weight.scn"
+        scen.write_text(INLINE.replace("adjacency = 0 1; 1 0", f"adjacency = 0 {weight}; {weight} 0"))
+        assert main(["sweep", str(scen)]) == 1
+        assert f"g[0,1]={weight} must be finite" in capsys.readouterr().err
+
     def test_numerical_exit_code(self, tmp_path, capsys):
         scen = tmp_path / "hard.scn"
         scen.write_text(
