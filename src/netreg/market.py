@@ -22,6 +22,7 @@ is accurate only to about ``eps / (1 - delta*lambda_1)``.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .network import Network, eigencentrality, h_apply
 class MarketPrimitives:
     """Intrinsic values, marginal costs, and spillover intensity on a network.
 
-    Requires ``a_i > c_i`` everywhere and ``0 <= delta`` with
-    ``delta * lambda_1 < 1``.
+    Requires finite ``a`` and ``c`` with ``a_i > c_i`` everywhere, and
+    ``0 <= delta`` with ``delta * lambda_1 < 1``.
     """
 
     net: Network
@@ -56,6 +57,10 @@ class MarketPrimitives:
             raise DimensionMismatchError(
                 f"a {a.shape} and c {c.shape} must have shape ({self.net.n},)"
             )
+        for name, v in (("a", a), ("c", c)):
+            if not np.all(np.isfinite(v)):
+                i = int(np.argmin(np.isfinite(v)))
+                raise ValidationError(f"{name}[{i}]={float(v[i])!r} must be finite")
         if not np.all(a > c):
             i = int(np.argmin(a - c))
             raise ValidationError(f"need a > c everywhere; a[{i}]={a[i]} <= c[{i}]={c[i]}")
@@ -69,6 +74,14 @@ class MarketPrimitives:
     @property
     def n(self):
         return self.net.n
+
+    @cached_property
+    def half_gap_hat(self) -> np.ndarray:
+        """``W' (a-c)/2``: the markup in the eigenbasis of G, formed once,
+        since every frontier routine starts from it."""
+        dhat = self.net.spectrum.eigenvectors.T @ (0.5 * (self.a - self.c))
+        dhat.setflags(write=False)
+        return dhat
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,15 +69,12 @@ class Network:
 
 
 def _orient_columns(vecs):
-    vecs = vecs.copy()
-    w1 = vecs[:, 0]
-    if w1.sum() < 0:
-        vecs[:, 0] = -w1
-    for i in range(1, vecs.shape[1]):
-        col = vecs[:, i]
-        if col[np.argmax(np.abs(col))] < 0:
-            vecs[:, i] = -col
-    return vecs
+    # the first largest-magnitude entry of each column positive; the Perron
+    # column by the sign of its sum
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    sign = np.where(peak < 0.0, -1.0, 1.0)
+    sign[0] = -1.0 if vecs[:, 0].sum() < 0 else 1.0
+    return vecs * sign
 
 
 def _decompose(g):
@@ -91,16 +88,14 @@ def _decompose(g):
 
 
 def _connected(g):
-    n = g.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    # breadth-first search from node 0, one frontier level per step
+    linked = g > 0
+    seen = np.zeros(g.shape[0], dtype=bool)
     seen[0] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(g[i] > 0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
+    level = seen.copy()
+    while level.any():
+        level = linked[level].any(axis=0) & ~seen
+        seen |= level
     return bool(seen.all())
 
 
@@ -127,16 +122,16 @@ def build_network(adjacency) -> Network:
     scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g.T)))
     if np.any(np.abs(g - g.T) > SYMMETRY_TOL * scale):
         i, j = np.unravel_index(np.argmax(np.abs(g - g.T)), g.shape)
-        raise NotSymmetricError(f"g[{i},{j}]={g[i, j]!r} != g[{j},{i}]={g[j, i]!r}")
+        raise NotSymmetricError(f"g[{i},{j}]={float(g[i, j])!r} != g[{j},{i}]={float(g[j, i])!r}")
     g = 0.5 * (g + g.T)
     diag_tol = SYMMETRY_TOL * max(1.0, float(np.abs(g).max()))
     if np.any(np.abs(np.diag(g)) > diag_tol):
         i = int(np.argmax(np.abs(np.diag(g))))
-        raise NonzeroDiagonalError(f"g[{i},{i}]={g[i, i]!r} must be zero")
+        raise NonzeroDiagonalError(f"g[{i},{i}]={float(g[i, i])!r} must be zero")
     np.fill_diagonal(g, 0.0)
     if np.any(g < -diag_tol):
         i, j = np.unravel_index(int(np.argmin(g)), g.shape)
-        raise NegativeWeightError(f"g[{i},{j}]={g[i, j]!r} is negative")
+        raise NegativeWeightError(f"g[{i},{j}]={float(g[i, j])!r} is negative")
     g = np.where(g < 0.0, 0.0, g)  # clip round-trip dust
     if not _connected(g):
         raise DisconnectedError("graph is not connected")
@@ -190,11 +185,11 @@ def check_spillover(net: Network, delta: float) -> None:
     if not np.isfinite(delta):
         raise SpectralBoundError(f"delta={float(delta)!r} must be finite")
     if delta < 0.0:
-        raise SpectralBoundError(f"delta={delta!r} must be nonnegative")
+        raise SpectralBoundError(f"delta={float(delta)!r} must be nonnegative")
     if delta * net.lambda1 >= 1.0:
         raise SpectralBoundError(
-            f"delta*lambda1 = {delta * net.lambda1!r} >= 1; "
-            f"require delta < {1.0 / net.lambda1 if net.lambda1 > 0 else np.inf!r}"
+            f"delta*lambda1 = {float(delta * net.lambda1)!r} >= 1; "
+            f"require delta < {1.0 / net.lambda1 if net.lambda1 > 0 else float('inf')!r}"
         )
 
 

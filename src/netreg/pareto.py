@@ -15,13 +15,24 @@ runs over ``eta in [0, eta_hat_plus]`` where ``eta_hat_plus`` solves
 parametrised by ``u = -eta/(2-eta) in [0, 1]`` (``u = 1`` gives price
 ``a``), so root finding happens on a bounded interval.
 
-Both branches are pinned to the floor by solving ``R_Pi(p(eta)) = tau``,
-which is strictly decreasing along each branch, so bisection is guaranteed
-to converge; a final Newton step polishes the root.  A Ramsey cross-check
-recovers the same prices from the weighted objective
+Both branches are pinned to the floor by solving ``R_Pi(p(eta)) = tau`` in
+the form ``||sqrt(b) * rho|| = sqrt(1 - tau)``, with weights
+``b = phi*d_hat^2 / sum(phi*d_hat^2)``, whose relative accuracy does not
+decay as tau -> 1 (a test on ``|R_Pi - tau|`` alone leaves an error of
+order ``1e-12 / sqrt(1 - tau)`` in the surplus ratio).  The maximising
+branch is solved in ``t = rho_1 = eta/(s_1 - eta)`` with
+``s = 2 - 2*delta*lambda``, and the minimising branch in u.  The norm is
+strictly increasing along each branch and lies within known multiples of
+``|rho_1|``, which gives a tight starting bracket.  Newton steps kept
+inside the shrinking bracket, with bisection whenever a step would leave
+it, converge to machine precision, on the desk experiments in under two
+evaluations per root on average.  The same routine finds the frontier
+price with a given weighted average (``eta_at_average``).  A Ramsey
+cross-check recovers the same prices from the weighted objective
 ``profit + eta * surplus`` through an independent dense solve.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +47,8 @@ from .errors import (
 from .market import MarketPrimitives, half_gap, unrestricted_price
 
 RESIDUAL_TOL = 1e-12
-MAX_BISECTIONS = 200
+ROOT_RTOL = 1e-13
+MAX_ROOT_STEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +71,7 @@ class ParetoPoint:
 def _spectral_parts(prim: MarketPrimitives):
     lam = prim.net.spectrum.eigenvalues
     w = prim.net.spectrum.eigenvectors
-    dhat = w.T @ half_gap(prim)
+    dhat = prim.half_gap_hat
     phi = (1.0 - prim.delta * lam[0]) / (1.0 - prim.delta * lam)
     return lam, w, dhat, phi
 
@@ -75,8 +87,8 @@ def _rho_plus(prim, eta):
 
 
 def _rho_minus_u(prim, u):
-    lam = prim.net.spectrum.eigenvalues
-    return -u / (1.0 - prim.delta * lam * (1.0 - u))
+    k = prim.delta * prim.net.spectrum.eigenvalues
+    return -u / ((1.0 - k) + k * u)  # no cancellation in 1 - k*(1-u) near the bound
 
 
 def _r_pi_of_rho(phi, dhat, rho):
@@ -118,33 +130,47 @@ def _check_monotone(g, lo, hi):
             raise InvariantError("profit ratio is not decreasing on the bracket")
 
 
-def _bisect_newton(g, gprime, lo, hi, what):
-    glo, ghi = g(lo), g(hi)
-    if abs(glo) <= RESIDUAL_TOL:
-        return lo
-    if abs(ghi) <= RESIDUAL_TOL:
-        return hi
-    if glo < 0.0 or ghi > 0.0:
-        raise NoConvergenceError(f"{what}: root not bracketed ({glo!r}, {ghi!r})")
-    x = 0.5 * (lo + hi)
-    for _ in range(MAX_BISECTIONS):
-        gx = g(x)
-        if abs(gx) <= RESIDUAL_TOL:
+def _newton_root(g, lo, hi, x, what):
+    """Root of an increasing function on ``[lo, hi]`` by Newton steps from x.
+
+    ``g(x)`` returns the value and the slope.  Each evaluation shrinks the
+    bracket to the side of x that still holds the root; a Newton step that
+    would leave the bracket is replaced by bisection.  Returns the next
+    iterate once it moves x by at most ``ROOT_RTOL`` relative.
+    """
+    for _ in range(MAX_ROOT_STEPS):
+        value, slope = g(x)
+        if value == 0.0:
             return x
-        if gx > 0.0:
-            lo = x
-        else:
+        if value > 0.0:
             hi = x
-        x = 0.5 * (lo + hi)
-    # one Newton polish from the bisection estimate
-    slope = gprime(x)
-    if slope != 0.0:
-        x_newton = x - g(x) / slope
-        if lo <= x_newton <= hi:
-            x = x_newton
-    if abs(g(x)) > 1e-9:
-        raise NoConvergenceError(f"{what}: residual {g(x)!r} after bisection")
-    return x
+        else:
+            lo = x
+        step = x - value / slope if slope > 0.0 else np.nan
+        if not lo < step < hi:  # also true for nan
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= ROOT_RTOL * abs(step):
+            return step
+        x = step
+    raise NoConvergenceError(f"{what}: no root after {MAX_ROOT_STEPS} steps")
+
+
+def _plus_coordinate(prim):
+    """``(s_1, s / s_1, q)`` for the maximising branch in ``t = rho_1 = eta/(s_1 - eta)``.
+
+    With ``s_i = 2 - 2*delta*lambda_i``, ``eta = s_1 t/(1+t)`` and
+    ``rho_i = t q_i(t)`` where ``q_i(t) = s_1 / (s_1 + (s_i - s_1)(1+t))``;
+    ``s_i - s_1 = 2*delta*(lambda_1 - lambda_i) >= 0``, so ``rho_i <= t``
+    and ``d rho_i / dt = q_i^2 s_i / s_1``.
+    """
+    lam = prim.net.spectrum.eigenvalues
+    s1 = 2.0 - 2.0 * prim.delta * lam[0]
+    gaps = 2.0 * prim.delta * (lam[0] - lam)
+
+    def q_of(t):
+        return s1 / (s1 + gaps * (1.0 + t))
+
+    return s1, 1.0 + gaps / s1, q_of
 
 
 def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
@@ -152,6 +178,21 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
 
     Returns eta for ``branch='plus'`` and the bounded parameter u for
     ``branch='minus'``.
+
+    Solves ``||sqrt(b) * rho|| = sqrt(1 - tau)`` with
+    ``b = phi*dhat^2 / sum(phi*dhat^2)``, so that
+    ``R_Pi = 1 - ||sqrt(b) * rho||^2``.  Unlike ``R_Pi = tau`` this form
+    keeps its relative accuracy as tau -> 1.
+
+    The maximising branch is solved in ``t = rho_1``.  There every
+    ``rho_i = t q_i(t)`` with ``q_1 = 1`` and ``q_i`` falling in t, so the
+    norm over t falls from ``kappa = ||sqrt(b) * q(0)||`` towards
+    ``sqrt(b_1)``: the root lies in ``[sqrt(1-tau)/kappa, sqrt((1-tau)/b_1)]``
+    and Newton starts at the low end.  The minimising branch is solved in
+    u; in ``v = |rho_1|`` its norm over v rises from ``kappa`` to 1, so
+    ``v`` lies in ``[sqrt(1-tau), sqrt(1-tau)/kappa]``, mapped to u, and
+    Newton starts at the high end.  Upper ends are padded by ``ROOT_RTOL``
+    against rounding.
     """
     if not 0.0 <= tau <= 1.0:
         raise OutOfRangeError(f"tau={tau!r} must lie in [0, 1]")
@@ -159,35 +200,49 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
         raise OutOfRangeError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if tau == 1.0:
         return 0.0
-    lam, _, dhat, phi = _spectral_parts(prim)
-    delta = prim.delta
+    _, _, dhat, phi = _spectral_parts(prim)
+    base = phi * dhat**2
+    b = base / base.sum()
+    target = math.sqrt(1.0 - tau)
+    pad = 1.0 + ROOT_RTOL
 
     if branch == "plus":
-        hi = eta_max(prim) * (1.0 - 1e-13)
+        s1, growth, q_of = _plus_coordinate(prim)
 
-        def g(eta):
-            return _r_pi_of_rho(phi, dhat, _rho_plus(prim, eta)) - tau
+        def rho_of(t):
+            q = q_of(t)
+            return t * q, q * q * growth
 
-        def gprime(eta):
-            rho = _rho_plus(prim, eta)
-            drho = (2.0 - 2.0 * delta * lam) / (2.0 - 2.0 * delta * lam - eta) ** 2
-            base = phi * dhat**2
-            return -2.0 * float(base @ (rho * drho)) / float(base.sum())
+        kappa = math.sqrt(float(b @ q_of(0.0) ** 2))
+        lo, hi = target / kappa, target / math.sqrt(float(b[0])) * pad
+        start, what = lo, "eta solve (plus branch)"
+    else:
+        k = prim.delta * prim.net.spectrum.eigenvalues
+        stay = 1.0 - k
 
-        _check_monotone(g, 0.0, hi)
-        return _bisect_newton(g, gprime, 0.0, hi, "eta solve (plus branch)")
+        def rho_of(u):
+            # |rho_i| = u / (1 - delta*lambda_i*(1-u)) and its derivative
+            den = stay + k * u
+            return u / den, stay / (den * den)
 
-    def g(u):
-        return _r_pi_of_rho(phi, dhat, _rho_minus_u(prim, u)) - tau
+        def u_of(v):  # the u at which |rho_1| = v
+            return v * stay[0] / (stay[0] + k[0] * (1.0 - v))
 
-    def gprime(u):
-        rho = _rho_minus_u(prim, u)
-        drho = -(1.0 - delta * lam) / (1.0 - delta * lam * (1.0 - u)) ** 2
-        base = phi * dhat**2
-        return -2.0 * float(base @ (rho * drho)) / float(base.sum())
+        kappa = math.sqrt(float(b @ (stay[0] / stay) ** 2))
+        lo, hi = u_of(target), u_of(min(1.0, target / kappa * pad))
+        start, what = hi, "u solve (minus branch)"
 
-    _check_monotone(g, 0.0, 1.0)
-    return _bisect_newton(g, gprime, 0.0, 1.0, "u solve (minus branch)")
+    def g(x):
+        rho, slope = rho_of(x)
+        norm = math.sqrt(float(b @ (rho * rho)))
+        return norm - target, float(b @ (rho * slope)) / norm
+
+    _check_monotone(lambda x: 1.0 - float(b @ rho_of(x)[0] ** 2), lo, hi)
+    x = _newton_root(g, lo, hi, start, what)
+    residual = _r_pi_of_rho(phi, dhat, rho_of(x)[0]) - tau  # |rho| suffices
+    if abs(residual) > RESIDUAL_TOL:
+        raise NoConvergenceError(f"{what}: profit-ratio residual {residual!r}")
+    return s1 * x / (1.0 + x) if branch == "plus" else x
 
 
 def eta_hat_plus(prim: MarketPrimitives) -> float:
@@ -210,6 +265,32 @@ def rv_bounds(prim: MarketPrimitives, tau: float) -> tuple[float, float]:
     _, _, dhat, phi = _spectral_parts(prim)
     u = solve_eta_for_tau(prim, tau, "minus")
     return _r_v_of_rho(phi, dhat, _rho_minus_u(prim, u)), rv_plus(prim, tau)
+
+
+def eta_at_average(prim: MarketPrimitives, theta, level: float) -> float | None:
+    """The eta in ``[0, eta_hat_plus]`` at which ``<theta, p(eta)> = level``.
+
+    For nonnegative weights the average
+    ``<theta, p_ur> - <W' theta, rho(eta) * dhat>`` falls strictly along
+    the maximising branch.  Returns None when level lies outside its range
+    on ``[0, eta_hat_plus]``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    _, w, dhat, _ = _spectral_parts(prim)
+    weight = (w.T @ theta) * dhat
+    drop = float(theta @ unrestricted_price(prim)) - level
+    s1, growth, q_of = _plus_coordinate(prim)
+    eta_cap = eta_hat_plus(prim)
+    t_cap = eta_cap / (s1 - eta_cap)
+
+    def g(t):
+        q = q_of(t)
+        return float(weight @ (t * q)) - drop, float(weight @ (q * q * growth))
+
+    if drop < 0.0 or g(t_cap)[0] < 0.0:
+        return None
+    t = _newton_root(g, 0.0, t_cap, 0.0, "average-price solve")
+    return s1 * t / (1.0 + t)
 
 
 def ramsey_price(prim: MarketPrimitives, eta_plus: float) -> np.ndarray:

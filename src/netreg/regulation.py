@@ -15,13 +15,14 @@ the feasible set.  Supported set kinds:
 Projection dispatch: Unrestricted and Uniform have closed forms (the
 uniform level is ``<1, H p_ur> / <1, H 1>``), as do zero difference caps
 (the uniform line), a point box and AveragePrice (a single halfspace).
-Everything else is decomposed into halfspaces ``<v, p> <= m``
-(``halfspace_list``) and projected by the Goldfarb-Idnani dual active-set
-method in the H metric, which needs only ``Hinv = I - delta*G``
-explicitly.  It is finite: it adds the most violated halfspace, drops
-faces whose multipliers reach zero, and stops once no halfspace is
-violated by more than ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  An
-empty feasible set raises ``InfeasibleError``.
+Everything else is decomposed into halfspaces ``V p <= m``, one row per
+face, built by array indexing (``halfspace_form``), and projected by the
+Goldfarb-Idnani dual active-set method in the H metric, which needs only
+``Hinv = I - delta*G`` explicitly.  It is finite: it adds the most
+violated halfspace, drops faces whose multipliers reach zero, and stops
+once no halfspace is violated by more than
+``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  An empty feasible set
+raises ``InfeasibleError``.
 
 Efficiency analysis: an equilibrium sits on the Pareto frontier iff the
 feasible set contains a frontier-family price and stays inside the
@@ -35,8 +36,7 @@ inefficient / neutral / efficient (``classify_limit``).
 """
 
 import enum
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,59 +165,71 @@ class AveragePrice(RegulationSet):
 @dataclass(frozen=True, eq=False)
 class Halfspaces(RegulationSet):
     """Intersection of explicit halfspaces <normal, p> <= offset; an offset
-    of +inf constrains nothing."""
+    of +inf constrains nothing.  ``normals`` and ``offsets`` hold the same
+    constraints as one row per halfspace."""
 
     kind = "halfspaces"
     constraints: tuple = None
+    normals: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cleaned = []
-        for normal, offset in self.constraints:
-            v = np.asarray(normal, dtype=float).copy()
-            if v.ndim != 1 or not np.any(v != 0.0):
-                raise ValidationError("halfspace normal must be a nonzero vector")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError("halfspace normal must be finite")
-            m = float(offset)
-            if np.isnan(m) or m == -np.inf:
-                raise ValidationError(f"halfspace offset must be a number or +inf (no bound), got {m!r}")
-            v.setflags(write=False)
-            cleaned.append((v, m))
-        if not cleaned:
+        pairs = tuple(self.constraints)
+        if not pairs:
             raise ValidationError("halfspace list must be nonempty")
-        object.__setattr__(self, "constraints", tuple(cleaned))
+        normals, offsets = zip(*pairs)
+        try:
+            vmat = np.array(normals, dtype=float)
+        except ValueError as err:
+            raise ValidationError("halfspace normals must be vectors of one length") from err
+        if vmat.ndim != 2 or not np.all(np.any(vmat != 0.0, axis=1)):
+            raise ValidationError("halfspace normal must be a nonzero vector")
+        if not np.all(np.isfinite(vmat)):
+            raise ValidationError("halfspace normal must be finite")
+        offsets = np.array(offsets, dtype=float)
+        bad = np.isnan(offsets) | np.isneginf(offsets)
+        if np.any(bad):
+            m = float(offsets[np.argmax(bad)])
+            raise ValidationError(f"halfspace offset must be a number or +inf (no bound), got {m!r}")
+        vmat.setflags(write=False)
+        offsets.setflags(write=False)
+        object.__setattr__(self, "constraints", tuple(zip(vmat, offsets.tolist())))
+        object.__setattr__(self, "normals", vmat)
+        object.__setattr__(self, "offsets", offsets)
 
 
-def halfspace_list(k: RegulationSet, n: int) -> list[tuple[np.ndarray, float]]:
-    """Decompose a set into halfspaces ``<v, p> <= m``.
+def halfspace_form(k: RegulationSet, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose a set into halfspaces ``V p <= m``, one row of ``V`` each.
 
-    Halfspaces with an infinite offset (an absent floor, ceiling or cap)
-    constrain nothing and are dropped.
+    Boxes give a ceiling and a floor row per market, difference caps one
+    row per ordered pair ``(i, j)``, ``i != j``.  Rows with an infinite
+    offset (an absent floor, ceiling or cap) constrain nothing and are
+    dropped.
     """
     if isinstance(k, Box):
         _check_dim(k.lower.shape[0], n)
-        out = []
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = 1.0
-            out += [(v, float(k.upper[i])), (-v, -float(k.lower[i]))]
+        rows = np.arange(2 * n)
+        vmat = np.zeros((2 * n, n))
+        vmat[rows, rows // 2] = np.tile([1.0, -1.0], n)  # ceiling then floor, market by market
+        offsets = np.empty(2 * n)
+        offsets[0::2], offsets[1::2] = k.upper, -k.lower
     elif isinstance(k, PriceDifference):
         _check_dim(k.delta_matrix.shape[0], n)
-        out = []
-        for i, j in itertools.permutations(range(n), 2):
-            v = np.zeros(n)
-            v[i], v[j] = 1.0, -1.0
-            out.append((v, float(k.delta_matrix[i, j])))
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        rows = np.arange(i.shape[0])
+        vmat = np.zeros((i.shape[0], n))
+        vmat[rows, i], vmat[rows, j] = 1.0, -1.0
+        offsets = k.delta_matrix[i, j]
     elif isinstance(k, AveragePrice):
         _check_dim(k.theta.shape[0], n)
-        out = [(k.theta.copy(), k.cap)]
+        vmat, offsets = k.theta[None, :], np.array([k.cap])
     elif isinstance(k, Halfspaces):
-        for v, _ in k.constraints:
-            _check_dim(v.shape[0], n)
-        out = [(v.copy(), m) for v, m in k.constraints]
+        _check_dim(k.normals.shape[1], n)
+        vmat, offsets = k.normals, k.offsets
     else:
         raise UnsupportedRegulationError(f"no halfspace form for kind {k.kind!r}")
-    return [(v, m) for v, m in out if np.isfinite(m)]
+    keep = np.isfinite(offsets)
+    return vmat[keep], offsets[keep]
 
 
 def _check_dim(got, n):
@@ -233,13 +245,11 @@ def contains(prim: MarketPrimitives, k: RegulationSet, p, tol: float = MEMBERSHI
         return True
     if isinstance(k, Uniform):
         return float(p.max() - p.min()) <= scale
-    for v, m in halfspace_list(k, prim.n):
-        if float(v @ p) > m + scale * (1.0 + float(np.abs(v).sum())):
-            return False
-    return True
+    vmat, offsets = halfspace_form(k, prim.n)
+    return bool(np.all(vmat @ p <= offsets + scale * (1.0 + np.abs(vmat).sum(axis=1))))
 
 
-def _active_set_projection(prim: MarketPrimitives, halfspaces, q):
+def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
     """Goldfarb-Idnani dual active-set projection of q in the H metric.
 
     Keeps ``H(q - x) = V_A' mu`` with ``mu >= 0`` and the active faces
@@ -252,15 +262,13 @@ def _active_set_projection(prim: MarketPrimitives, halfspaces, q):
     no multiplier can reach zero, no point satisfies p together with the
     active faces: the set is empty.
     """
-    vmat = np.array([v for v, _ in halfspaces])
-    offsets = np.array([m for _, m in halfspaces])
     hv = vmat.T - prim.delta * (prim.net.adjacency @ vmat.T)  # Hinv V', one column per halfspace
     curvature = np.einsum("kn,nk->k", vmat, hv)  # v' Hinv v > 0
     tol = ACTIVE_SET_TOL * (1.0 + float(np.abs(q).max())) * np.abs(vmat).sum(axis=1)
     x = q.copy()
     active, mu, gram = [], np.zeros(0), np.zeros((0, 0))
     p = None
-    for _ in range(ACTIVE_SET_STEPS_PER_HALFSPACE * len(halfspaces)):
+    for _ in range(ACTIVE_SET_STEPS_PER_HALFSPACE * offsets.shape[0]):
         if p is None:
             violation = vmat @ x - offsets - tol
             violation[active] = -np.inf
@@ -289,7 +297,12 @@ def _active_set_projection(prim: MarketPrimitives, halfspaces, q):
         if step == full:
             active.append(p)
             mu = np.append(mu, mu_p)
-            gram = np.block([[gram, cross[:, None]], [cross[None, :], np.array([[curvature[p]]])]])
+            size = gram.shape[0]
+            grown = np.empty((size + 1, size + 1))
+            grown[:size, :size] = gram
+            grown[:size, size] = grown[size, :size] = cross
+            grown[size, size] = curvature[p]
+            gram = grown
             p = None
         else:
             j = int(np.argmin(ratio))
@@ -316,7 +329,7 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     Closed forms handle the unrestricted, uniform, average-price,
     zero-cap-difference (which is the uniform line) and fixed-price (point
     box) cases exactly.  Everything else runs the finite dual active-set
-    method over ``halfspace_list(k)``; it returns once no halfspace is
+    method over ``halfspace_form(k)``; it returns once no halfspace is
     violated by more than ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``
     and raises ``InfeasibleError`` when the set is empty.
     """
@@ -340,10 +353,10 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
         if slack <= 0.0:
             return q
         return q - (slack / float(k.theta @ hinv_theta)) * hinv_theta
-    halfspaces = halfspace_list(k, prim.n)
-    if not halfspaces:
+    vmat, offsets = halfspace_form(k, prim.n)
+    if offsets.shape[0] == 0:
         return q  # every bound infinite
-    return _active_set_projection(prim, halfspaces, q)
+    return _active_set_projection(prim, vmat, offsets, q)
 
 
 def equilibrium_outcome(prim: MarketPrimitives, k: RegulationSet) -> WelfareOutcome:
@@ -394,25 +407,13 @@ def _box_certificate(prim, k):
 
 
 def _average_price_certificate(prim, k):
-    eta_cap = paretomod.eta_hat_plus(prim)
-
-    def avg(eta):
-        return float(k.theta @ paretomod.pareto_price(prim, eta))
-
-    if avg(eta_cap) > k.cap:
+    eta = paretomod.eta_at_average(prim, k.theta, k.cap)
+    if eta is None:
         return Certificate(False, reason="cap binds below the zero-profit frontier price")
-    lo, hi = 0.0, eta_cap  # avg is strictly decreasing in eta
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if avg(mid) > k.cap:
-            lo = mid
-        else:
-            hi = mid
-    eta = 0.5 * (lo + hi)
     weight = iota(prim, eta)
     if corr(k.theta, weight) < 1.0 - PROPORTIONALITY_TOL:
         return Certificate(False, reason="weights are not proportional to the supporting normal")
-    if abs(avg(eta) - k.cap) > 1e-9 * (1.0 + abs(k.cap)):
+    if abs(float(k.theta @ paretomod.pareto_price(prim, eta)) - k.cap) > 1e-9 * (1.0 + abs(k.cap)):
         return Certificate(False, reason="no frontier price meets the cap exactly")
     return Certificate(True, eta=eta)
 
@@ -493,17 +494,15 @@ def a_interval(prim: MarketPrimitives, k: RegulationSet) -> AStatInterval:
             return AStatInterval(-np.inf, hi)
         return AStatInterval(-np.inf, np.inf)
     if isinstance(k, Halfspaces):
-        lo, hi, resolved = -np.inf, np.inf, True
-        for v, m in halfspace_list(k, prim.n):
-            norm = float(np.linalg.norm(v))
-            align = float(v @ w1) / norm  # w1 is unit, so this is the cosine
-            if align >= 1.0 - PROPORTIONALITY_TOL:
-                hi = min(hi, stat_of_avg(m / norm))
-            elif align <= -1.0 + PROPORTIONALITY_TOL:
-                lo = max(lo, stat_of_avg(-m / norm))
-            else:
-                resolved = False  # this face may bind the statistic; bounds stay approximate
-        return AStatInterval(lo, hi, exact=resolved)
+        vmat, offsets = halfspace_form(k, prim.n)
+        norms = np.linalg.norm(vmat, axis=1)
+        align = (vmat @ w1) / norms  # w1 is unit, so these are cosines
+        upper = align >= 1.0 - PROPORTIONALITY_TOL
+        lower = align <= -1.0 + PROPORTIONALITY_TOL
+        hi = stat_of_avg(float(np.min(offsets[upper] / norms[upper], initial=np.inf)))
+        lo = stat_of_avg(float(np.max(-offsets[lower] / norms[lower], initial=-np.inf)))
+        # any other face may bind the statistic; the bounds then stay approximate
+        return AStatInterval(lo, hi, exact=bool(np.all(upper | lower)))
     raise UnsupportedRegulationError(f"no interval rule for kind {k.kind!r}")
 
 

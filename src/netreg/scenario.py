@@ -53,6 +53,7 @@ import numpy as np
 
 from . import network as netmod
 from .errors import ScenarioParseError, ValidationError
+from .market import MarketPrimitives
 from .network import Network
 from .regulation import (
     AveragePrice,
@@ -263,8 +264,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ValidationError(
             f"delta_grid max_fraction must lie strictly inside (0, 1), got {max_fraction!r}"
         )
-    if not np.all(a > c):
-        raise ValidationError("need a > c in every market")
+    MarketPrimitives(net=net, a=a, c=c, delta=0.0)  # finite values with a > c in every market
     return Scenario(
         network=net,
         part1=part1,

@@ -15,13 +15,14 @@ import itertools
 import numpy as np
 
 
-def project_oracle(prim, halfspaces, tol=1e-9):
+def project_oracle(prim, vmat, offsets, tol=1e-9):
+    """Projection onto ``{p : vmat @ p <= offsets}``, one halfspace per row."""
     q = prim.a * 0.5 + prim.c * 0.5  # unrestricted price
     n = q.shape[0]
     h = np.linalg.inv(np.eye(n) - prim.delta * prim.net.adjacency)
     hinv = np.eye(n) - prim.delta * prim.net.adjacency
-    vmat = np.array([v for v, _ in halfspaces], dtype=float)
-    offsets = np.array([m for _, m in halfspaces], dtype=float)
+    vmat = np.asarray(vmat, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
     m_count = vmat.shape[0]
     rank = np.linalg.matrix_rank(vmat)
 

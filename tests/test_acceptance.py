@@ -11,7 +11,7 @@ import pytest
 
 import netreg
 from netreg.market import delta_near_bound
-from netreg.regulation import Classification, halfspace_list
+from netreg.regulation import Classification, halfspace_form
 
 from conftest import random_connected_network, random_nonregular_network, theta_values
 from qp_oracle import project_oracle
@@ -90,7 +90,7 @@ def test_criterion_04_projection_oracle_equivalence():
         caps = netreg.PriceDifference(delta_matrix=mat + mat.T)
         for reg in (box, caps):
             got = netreg.project(prim, reg)
-            oracle = project_oracle(prim, halfspace_list(reg, n))
+            oracle = project_oracle(prim, *halfspace_form(reg, n))
             ok = ok and float(np.abs(got - oracle).max()) <= 1e-6
     _report(4, "projection matches the active-set enumeration oracle", ok, time.perf_counter() - start, 30.0)
 

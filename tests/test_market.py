@@ -22,6 +22,21 @@ class TestPrimitivesValidation:
         with pytest.raises(netreg.ValidationError):
             netreg.MarketPrimitives(net=dyad, a=np.array([1.0, 1.0]), c=np.array([1.0, 0.0]), delta=0.1)
 
+    @pytest.mark.parametrize(
+        "a, c, message",
+        [
+            ([1.0, 2.0, np.inf], [0.0, 0.0, 0.0], "a[2]=inf must be finite"),
+            ([1.0, np.nan, 3.0], [0.0, 0.0, 0.0], "a[1]=nan must be finite"),
+            ([1.0, 2.0, 3.0], [0.0, -np.inf, 0.0], "c[1]=-inf must be finite"),
+            ([np.inf, 2.0, 3.0], [np.inf, 0.0, 0.0], "a[0]=inf must be finite"),
+        ],
+    )
+    def test_non_finite_values_named(self, a, c, message):
+        net = netreg.gen_complete(3)
+        with pytest.raises(netreg.ValidationError) as err:
+            netreg.MarketPrimitives(net=net, a=np.array(a), c=np.array(c), delta=0.1)
+        assert str(err.value) == message
+
     def test_spectral_bound(self, dyad):
         with pytest.raises(netreg.SpectralBoundError):
             netreg.MarketPrimitives(net=dyad, a=np.array([2.0, 2.0]), c=np.zeros(2), delta=1.0)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import netreg
-from netreg.network import DEGREE_TOL, format_dense, format_edge_list, parse_dense, parse_edge_list
+from netreg.network import (
+    DEGREE_TOL,
+    _connected,
+    _orient_columns,
+    format_dense,
+    format_edge_list,
+    parse_dense,
+    parse_edge_list,
+)
 
 from conftest import random_connected_network
 
@@ -48,8 +56,9 @@ class TestBuildNetwork:
             netreg.build_network(g)
 
     def test_not_symmetric(self):
-        with pytest.raises(netreg.NotSymmetricError):
+        with pytest.raises(netreg.NotSymmetricError) as err:
             netreg.build_network([[0.0, 1.0], [2.0, 0.0]])
+        assert str(err.value) == "g[0,1]=1.0 != g[1,0]=2.0"
 
     def test_negative_weight(self):
         with pytest.raises(netreg.NegativeWeightError):
@@ -144,6 +153,42 @@ class TestSpectrumInvariants:
         lam = net.spectrum.eigenvalues
         assert np.all(np.diff(lam) <= 1e-12)
 
+    def test_orientation_matches_column_loop(self, rng):
+        # reference: the Perron column by the sign of its sum, every other
+        # column by its first largest-magnitude entry
+        def reference(vecs):
+            vecs = vecs.copy()
+            if vecs[:, 0].sum() < 0:
+                vecs[:, 0] = -vecs[:, 0]
+            for i in range(1, vecs.shape[1]):
+                col = vecs[:, i]
+                if col[np.argmax(np.abs(col))] < 0:
+                    vecs[:, i] = -col
+            return vecs
+
+        ties = np.array([[0.5, -0.5, 0.5], [-0.5, 0.5, -0.5], [0.1, 0.0, -0.5]])
+        for vecs in [ties] + [rng.normal(size=(n, n)) for n in (1, 2, 7, 20)]:
+            assert np.array_equal(_orient_columns(vecs), reference(vecs))
+
+
+class TestConnectivity:
+    def test_matches_depth_first_search(self, rng):
+        def reference(g):
+            seen, stack = {0}, [0]
+            while stack:
+                i = stack.pop()
+                for j in np.nonzero(g[i] > 0)[0]:
+                    if int(j) not in seen:
+                        seen.add(int(j))
+                        stack.append(int(j))
+            return len(seen) == g.shape[0]
+
+        for n in (1, 2, 5, 12, 40):
+            for p in (0.02, 0.1, 0.3):
+                g = np.triu((rng.random((n, n)) < p).astype(float), 1)
+                g = g + g.T
+                assert _connected(g) == reference(g)
+
 
 class TestLeontiefOperator:
     def test_identity_at_zero(self, dyad, rng):
@@ -170,8 +215,9 @@ class TestLeontiefOperator:
             assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(v)
 
     def test_spectral_bound_rejected(self, dyad):
-        with pytest.raises(netreg.SpectralBoundError):
-            netreg.h_apply(dyad, 1.0, [1.0, 0.0])
+        with pytest.raises(netreg.SpectralBoundError) as err:
+            netreg.h_apply(dyad, np.float64(1.0), [1.0, 0.0])
+        assert str(err.value) == "delta*lambda1 = 1.0 >= 1; require delta < 1.0"
         with pytest.raises(netreg.SpectralBoundError):
             netreg.h_apply(dyad, -0.1, [1.0, 0.0])
 

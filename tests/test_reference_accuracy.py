@@ -1,17 +1,20 @@
-"""Accuracy of the spectral H operator near the bound, against 50 digits.
+"""Accuracy of the spectral H operator and the frontier roots, against 50 digits.
 
 ``h_apply`` scales spectral coordinates by ``1/(1 - delta*lambda_i)``, so a
 raw product ``H v`` carries a relative error of about
 ``eps / (1 - delta*lambda_1)``.  Prices and welfare ratios are quotients of
 H-forms taken with that one operator, and their rounding errors cancel: they
-stay near machine precision.  Both statements are pinned here against an
-mpmath solve of the same float inputs at 50 significant digits.
+stay near machine precision.  The frontier roots of ``R_Pi = tau`` on both
+branches, and ``R_V_plus`` there, keep that precision as tau -> 1.  All of
+this is pinned here against an mpmath solve of the same float inputs at 50
+significant digits.
 """
 
 import numpy as np
 import pytest
 
 import netreg
+from netreg.pareto import rv_plus
 
 from conftest import random_connected_network
 
@@ -88,3 +91,68 @@ def test_raw_product_error_bound(near_bound_inputs, epsilon):
         rel = float(err / max(abs(exact[i]) for i in range(net.n)))
     unit = np.finfo(float).eps / (1.0 - delta * net.lambda1)
     assert rel <= RAW_ERROR_UNITS * unit
+
+
+def _mp_bisect(decreasing, lo, hi):
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if decreasing(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.fixture(scope="module")
+def frontier_case():
+    """A seeded graph at a mid-range spillover, with a 50-digit frontier solver.
+
+    The reference diagonalises the float adjacency at 50 digits and solves
+    ``R_Pi(p) = tau`` by bisection, with ``p - p_ur = -W (rho * W'd)`` and
+    ``rho_i = eta / (2 - eta - 2*delta*lambda_i)`` on the maximising branch,
+    ``rho_i = -u / (1 - delta*lambda_i*(1-u))`` on the minimising one.
+    """
+    net = random_connected_network(np.random.default_rng(8), 8)
+    rng = np.random.default_rng(9)
+    a = rng.uniform(5.0, 15.0, net.n)
+    c = rng.uniform(0.0, 3.0, net.n)
+    delta = 0.5 / net.lambda1
+    prim = netreg.MarketPrimitives(net=net, a=a, c=c, delta=delta)
+    with mpmath.workdps(50):
+        lam, vecs = mpmath.eigsy(mpmath.matrix(net.adjacency.tolist()))
+        dhat = vecs.T * ((_mp_vector(a) - _mp_vector(c)) / 2)
+        keep = [1 / (1 - mpmath.mpf(delta) * lam[i]) for i in range(net.n)]  # H in the eigenbasis
+        profit_w = [dhat[i] ** 2 * keep[i] for i in range(net.n)]
+        surplus_w = [(dhat[i] * keep[i]) ** 2 for i in range(net.n)]
+
+    def reference(tau):
+        with mpmath.workdps(50):
+            tau = mpmath.mpf(tau)
+
+            def r_pi(rho):
+                return 1 - mpmath.fsum(w * r**2 for w, r in zip(profit_w, rho)) / mpmath.fsum(profit_w)
+
+            def rho_plus(eta):
+                return [eta / (2 - eta - 2 * mpmath.mpf(delta) * lam[i]) for i in range(net.n)]
+
+            def rho_minus(u):
+                return [-u / (1 - mpmath.mpf(delta) * lam[i] * (1 - u)) for i in range(net.n)]
+
+            eta_hi = 2 - 2 * mpmath.mpf(delta) * max(lam[i] for i in range(net.n))
+            eta = _mp_bisect(lambda x: r_pi(rho_plus(x)) - tau, mpmath.mpf(0), eta_hi)
+            u = _mp_bisect(lambda x: r_pi(rho_minus(x)) - tau, mpmath.mpf(0), mpmath.mpf(1))
+            rho = rho_plus(eta)
+            r_v = mpmath.fsum(w * (1 + r) ** 2 for w, r in zip(surplus_w, rho)) / mpmath.fsum(surplus_w)
+            return eta, u, r_v
+
+    return prim, reference
+
+
+@pytest.mark.parametrize("one_minus_tau", [0.5, 1e-8, 1e-10])
+def test_frontier_roots_at_machine_precision(frontier_case, one_minus_tau):
+    prim, reference = frontier_case
+    tau = 1.0 - one_minus_tau
+    eta, u, r_v = reference(tau)
+    assert _rel(netreg.solve_eta_for_tau(prim, tau, "plus"), eta) <= RATIO_RTOL
+    assert _rel(netreg.solve_eta_for_tau(prim, tau, "minus"), u) <= RATIO_RTOL
+    assert _rel(rv_plus(prim, tau), r_v) <= RATIO_RTOL

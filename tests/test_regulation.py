@@ -5,7 +5,7 @@ import pytest
 
 import netreg
 from netreg.market import delta_near_bound, half_gap, quad_form_h
-from netreg.regulation import Classification, halfspace_list
+from netreg.regulation import Classification, halfspace_form
 
 from conftest import random_connected_network, random_primitives
 from qp_oracle import project_oracle
@@ -91,14 +91,41 @@ class TestSetValidation:
 
     def test_halfspace_decomposition_counts(self):
         box = netreg.Box(lower=np.array([0.0, -np.inf]), upper=np.array([1.0, 2.0]))
-        assert len(halfspace_list(box, 2)) == 3  # skips the infinite floor
+        assert halfspace_form(box, 2)[0].shape[0] == 3  # skips the infinite floor
         diff = random_difference_caps(np.random.default_rng(0), 4)
-        assert len(halfspace_list(diff, 4)) == 12  # n(n-1) one-sided constraints
+        assert halfspace_form(diff, 4)[0].shape[0] == 12  # n(n-1) one-sided constraints
         open_pair = np.array(diff.delta_matrix)
         open_pair[0, 1] = open_pair[1, 0] = np.inf
-        assert len(halfspace_list(netreg.PriceDifference(delta_matrix=open_pair), 4)) == 10
+        assert halfspace_form(netreg.PriceDifference(delta_matrix=open_pair), 4)[0].shape[0] == 10
         v = np.array([1.0, 0.0])
-        assert len(halfspace_list(netreg.Halfspaces(constraints=((v, 1.0), (-v, np.inf))), 2)) == 1
+        assert halfspace_form(netreg.Halfspaces(constraints=((v, 1.0), (-v, np.inf))), 2)[0].shape[0] == 1
+
+    def test_halfspace_form_matches_row_loop(self):
+        # reference: one row per ceiling and floor, market by market, and one
+        # per ordered pair of markets; infinite offsets dropped
+        def reference(k, n):
+            rows = []
+            if isinstance(k, netreg.Box):
+                for i in range(n):
+                    rows += [(np.eye(n)[i], k.upper[i]), (-np.eye(n)[i], -k.lower[i])]
+            else:
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            rows.append((np.eye(n)[i] - np.eye(n)[j], k.delta_matrix[i, j]))
+            rows = [(v, m) for v, m in rows if np.isfinite(m)]
+            return np.array([v for v, _ in rows]), np.array([m for _, m in rows])
+
+        rng = np.random.default_rng(1)
+        caps = np.array(random_difference_caps(rng, 5).delta_matrix)
+        caps[1, 3] = caps[3, 1] = np.inf
+        sets = [
+            netreg.Box(lower=np.array([0.0, -np.inf, 1.0]), upper=np.array([1.0, 2.0, np.inf])),
+            netreg.PriceDifference(delta_matrix=caps),
+        ]
+        for k, n in zip(sets, (3, 5)):
+            for got, expected in zip(halfspace_form(k, n), reference(k, n)):
+                assert np.array_equal(got, expected)
 
 
 class TestProjectionClosedForms:
@@ -139,7 +166,7 @@ class TestProjectionClosedForms:
         reg = netreg.AveragePrice(theta=theta, cap=float(theta @ pur) - 1.0)
         p = netreg.project(prim, reg)
         assert float(theta @ p) == pytest.approx(reg.cap, abs=1e-10)
-        oracle = project_oracle(prim, halfspace_list(reg, 5))
+        oracle = project_oracle(prim, *halfspace_form(reg, 5))
         assert np.abs(p - oracle).max() <= 1e-6
 
     def test_average_price_slack(self, rng):
@@ -158,7 +185,7 @@ class TestProjectionOracle:
             prim = random_primitives(rng, net)
             for reg in (random_box(rng, prim), random_difference_caps(rng, n, 0.1, 1.2)):
                 got = netreg.project(prim, reg)
-                oracle = project_oracle(prim, halfspace_list(reg, n))
+                oracle = project_oracle(prim, *halfspace_form(reg, n))
                 assert np.abs(got - oracle).max() <= 1e-6
 
     def test_kkt_normal_cone_box(self, rng):

@@ -303,6 +303,13 @@ class TestCli:
         assert main(["sweep", str(scen)]) == 1
         assert f"g[0,1]={weight} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, value):
+        scen = tmp_path / "bad_value.scn"
+        scen.write_text(INLINE.replace("a = 6 8", f"a = 6 {value}"))
+        assert main(["sweep", str(scen)]) == 1
+        assert f"a[1]={value} must be finite" in capsys.readouterr().err
+
     def test_numerical_exit_code(self, tmp_path, capsys):
         scen = tmp_path / "hard.scn"
         scen.write_text(
