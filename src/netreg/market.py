@@ -14,11 +14,16 @@ scalar, the eigencentrality-weighted average price deviation
 ``A(p) = <w1, p - p_ur> / <w1, (a-c)/2>``: profit tends to ``1 - A^2``,
 surplus to ``(1 - A)^2``.
 
-Quadratic forms ``z' H z`` are evaluated as ``<z, H z>`` with the one
-spectral operator :func:`netreg.network.h_apply`.  Each ratio is a quotient
-of such forms, so their rounding errors cancel: ratios stay within about
-1e-15 relative as ``delta*lambda_1`` approaches 1, although a raw ``H z``
-is accurate only to about ``eps / (1 - delta*lambda_1)``.
+Both ratios are weighted sums in the cached eigenbasis of ``G``, computed in
+one place, :func:`spectral_ratios`.  With the spectral deviation
+``e = W'(p - p_ur)``, the markup ``d_hat = W'(a-c)/2`` and
+``h = 1/(1 - delta*lambda)``, ``R_V = ||(d_hat - e)*h||^2 / ||d_hat*h||^2``
+and ``R_Pi = 1 - <h, e^2> / <h, d_hat^2>``; a frontier point is
+``e = -rho*d_hat``.  Each ratio is a quotient of forms in the same ``h``,
+so their rounding errors cancel: ratios stay within about 1e-15 relative as
+``delta*lambda_1`` approaches 1, although a raw ``H z`` from
+:func:`netreg.network.h_apply` is accurate only to about
+``eps / (1 - delta*lambda_1)``.
 """
 
 from dataclasses import dataclass
@@ -82,6 +87,13 @@ class MarketPrimitives:
         dhat = self.net.spectrum.eigenvectors.T @ (0.5 * (self.a - self.c))
         dhat.setflags(write=False)
         return dhat
+
+    @cached_property
+    def h_hat(self) -> np.ndarray:
+        """``1/(1 - delta*lambda)``: H in the eigenbasis of G, a diagonal."""
+        h = 1.0 / (1.0 - self.delta * self.net.spectrum.eigenvalues)
+        h.setflags(write=False)
+        return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +159,23 @@ def half_gap(prim: MarketPrimitives) -> np.ndarray:
     return 0.5 * (prim.a - prim.c)
 
 
+def spectral_ratios(prim: MarketPrimitives, e) -> tuple[float, float]:
+    """(R_V, R_Pi) from the spectral price deviation ``e = W'(p - p_ur)``.
+
+    ``R_V = ||(d_hat - e)*h||^2 / ||d_hat*h||^2`` and
+    ``R_Pi = 1 - <h, e^2> / <h, d_hat^2>``, with ``d_hat = half_gap_hat``
+    and ``h = h_hat``.  A frontier point has ``e = -rho*d_hat``.
+    """
+    dhat, h = prim.half_gap_hat, prim.h_hat
+    x = (dhat - e) * h
+    y = dhat * h
+    return float(x @ x) / float(y @ y), 1.0 - float(h @ (e * e)) / float(dhat @ y)
+
+
 def ratios(prim: MarketPrimitives, p) -> tuple[float, float]:
     """(R_V, R_Pi) at price p, normalised by the unrestricted benchmark."""
     p = _check_price(prim, p)
-    d = half_gap(prim)
-    hd = _h(prim, d)
-    r_v = consumer_surplus(prim, p) / (0.5 * float(hd @ hd))
-    loss = quad_form_h(prim, p - unrestricted_price(prim))
-    r_pi = 1.0 - loss / float(d @ hd)
-    return float(r_v), float(r_pi)
+    return spectral_ratios(prim, prim.net.spectrum.eigenvectors.T @ (p - unrestricted_price(prim)))
 
 
 def a_statistic(prim: MarketPrimitives, p) -> float:

@@ -9,9 +9,9 @@ The Leontief-type operator ``H = (I - delta*G)^-1`` is never materialised:
 :func:`h_apply` applies it in the cached eigenbasis, scaling each spectral
 coordinate by ``1/(1 - delta*lambda_i)``, which costs two O(n^2) products
 per vector and no factorisation.  Welfare ratios and prices are quotients
-of such products, whose rounding errors cancel, and stay within about
-1e-15 relative as ``delta`` approaches ``1/lambda_1``; a raw ``H v`` is
-accurate to about ``eps / (1 - delta*lambda_1)`` relative.
+of forms in that same spectral scaling, whose rounding errors cancel, and
+stay within about 1e-15 relative as ``delta`` approaches ``1/lambda_1``; a
+raw ``H v`` is accurate to about ``eps / (1 - delta*lambda_1)`` relative.
 """
 
 from dataclasses import dataclass, field
@@ -199,8 +199,8 @@ def h_apply(net: Network, delta: float, v: np.ndarray) -> np.ndarray:
 
     ``v`` may also be a matrix of column right-hand sides.  The result is
     accurate to about ``eps / (1 - delta*lambda_1)`` relative; quotients of
-    H-forms (welfare ratios, prices) are far more accurate, because every
-    product goes through the same spectral operator.
+    forms in the same spectral scaling (welfare ratios, prices) are far more
+    accurate.
     """
     check_spillover(net, delta)
     v = np.asarray(v, dtype=float)

@@ -9,7 +9,9 @@ of a Katz-Bonacich vector,
 In the eigenbasis of ``G`` the shift acts coordinatewise,
 ``p_hat_i = p_ur_hat_i - rho_i(eta) * d_hat_i`` with
 ``rho_i(eta) = eta / (2 - 2*delta*lambda_i - eta)`` and ``d = (a-c)/2``,
-which is how all routines here evaluate it.  The surplus-maximising branch
+which is how all routines here evaluate it: both welfare ratios of a
+frontier price come from :func:`netreg.market.spectral_ratios` at the
+spectral deviation ``e = -rho*d_hat``.  The surplus-maximising branch
 runs over ``eta in [0, eta_hat_plus]`` where ``eta_hat_plus`` solves
 ``R_Pi = 0``; the surplus-minimising branch runs to ``eta = -inf`` and is
 parametrised by ``u = -eta/(2-eta) in [0, 1]`` (``u = 1`` gives price
@@ -17,13 +19,13 @@ parametrised by ``u = -eta/(2-eta) in [0, 1]`` (``u = 1`` gives price
 
 Both branches are pinned to the floor by solving ``R_Pi(p(eta)) = tau`` in
 the form ``||sqrt(b) * rho|| = sqrt(1 - tau)``, with weights
-``b = phi*d_hat^2 / sum(phi*d_hat^2)``, whose relative accuracy does not
-decay as tau -> 1 (a test on ``|R_Pi - tau|`` alone leaves an error of
-order ``1e-12 / sqrt(1 - tau)`` in the surplus ratio).  The maximising
-branch is solved in ``t = rho_1 = eta/(s_1 - eta)`` with
-``s = 2 - 2*delta*lambda``, and the minimising branch in u.  The norm is
-strictly increasing along each branch and lies within known multiples of
-``|rho_1|``, which gives a tight starting bracket.  Newton steps kept
+``b = h*d_hat^2 / sum(h*d_hat^2)`` and ``h = 1/(1 - delta*lambda)``, whose
+relative accuracy does not decay as tau -> 1 (a test on ``|R_Pi - tau|``
+alone leaves an error of order ``1e-12 / sqrt(1 - tau)`` in the surplus
+ratio).  The maximising branch is solved in ``t = rho_1 = eta/(s_1 - eta)``
+with ``s = 2 - 2*delta*lambda``, and the minimising branch in u.  The norm
+is strictly increasing along each branch and lies within known multiples
+of ``|rho_1|``, which gives a tight starting bracket.  Newton steps kept
 inside the shrinking bracket, with bisection whenever a step would leave
 it, converge to machine precision, on the desk experiments in under two
 evaluations per root on average.  The same routine finds the frontier
@@ -44,7 +46,7 @@ from .errors import (
     OutOfRangeError,
     SingularSystemError,
 )
-from .market import MarketPrimitives, half_gap, unrestricted_price
+from .market import MarketPrimitives, half_gap, spectral_ratios, unrestricted_price
 
 RESIDUAL_TOL = 1e-12
 ROOT_RTOL = 1e-13
@@ -68,14 +70,6 @@ class ParetoPoint:
     r_v_minus: float
 
 
-def _spectral_parts(prim: MarketPrimitives):
-    lam = prim.net.spectrum.eigenvalues
-    w = prim.net.spectrum.eigenvectors
-    dhat = prim.half_gap_hat
-    phi = (1.0 - prim.delta * lam[0]) / (1.0 - prim.delta * lam)
-    return lam, w, dhat, phi
-
-
 def eta_max(prim: MarketPrimitives) -> float:
     """Open upper end 2 - 2*delta*lambda_1 of the maximising branch."""
     return 2.0 - 2.0 * prim.delta * prim.net.lambda1
@@ -91,43 +85,35 @@ def _rho_minus_u(prim, u):
     return -u / ((1.0 - k) + k * u)  # no cancellation in 1 - k*(1-u) near the bound
 
 
-def _r_pi_of_rho(phi, dhat, rho):
-    base = phi * dhat**2
-    return 1.0 - float(base @ rho**2) / float(base.sum())
+def _ratios_of_rho(prim, rho):
+    return spectral_ratios(prim, -rho * prim.half_gap_hat)
 
 
-def _r_v_of_rho(phi, dhat, rho):
-    base = (phi * dhat) ** 2
-    return float(base @ (1.0 + rho) ** 2) / float(base.sum())
-
-
-def _price_of_rho(prim, w, dhat, rho):
-    return unrestricted_price(prim) - w @ (rho * dhat)
+def _price_of_rho(prim, rho):
+    return unrestricted_price(prim) - prim.net.spectrum.eigenvectors @ (rho * prim.half_gap_hat)
 
 
 def pareto_price(prim: MarketPrimitives, eta: float) -> np.ndarray:
     """Price of the family at parameter eta (finite; eta < 2 - 2*delta*lambda_1)."""
     if eta >= eta_max(prim):
         raise EtaOutOfRangeError(f"eta={eta!r} must be < {eta_max(prim)!r}")
-    _, w, dhat, _ = _spectral_parts(prim)
-    return _price_of_rho(prim, w, dhat, _rho_plus(prim, eta))
+    return _price_of_rho(prim, _rho_plus(prim, eta))
 
 
 def pareto_price_minus(prim: MarketPrimitives, u: float) -> np.ndarray:
     """Minimising-branch price at bounded parameter u in [0, 1]."""
     if not 0.0 <= u <= 1.0:
         raise EtaOutOfRangeError(f"u={u!r} must lie in [0, 1]")
-    _, w, dhat, _ = _spectral_parts(prim)
-    return _price_of_rho(prim, w, dhat, _rho_minus_u(prim, u))
+    return _price_of_rho(prim, _rho_minus_u(prim, u))
 
 
 def _check_monotone(g, lo, hi):
-    # R_Pi is strictly decreasing along each branch; spot-check the bracket
+    # the profit loss 1 - R_Pi rises strictly along each branch; spot-check the bracket
     probes = [lo + t * (hi - lo) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     vals = [g(t) for t in probes]
     for left, right in zip(vals, vals[1:]):
-        if not right <= left + 1e-12:
-            raise InvariantError("profit ratio is not decreasing on the bracket")
+        if not right >= left - 1e-12:
+            raise InvariantError("profit loss is not increasing on the bracket")
 
 
 def _newton_root(g, lo, hi, x, what):
@@ -180,7 +166,7 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
     ``branch='minus'``.
 
     Solves ``||sqrt(b) * rho|| = sqrt(1 - tau)`` with
-    ``b = phi*dhat^2 / sum(phi*dhat^2)``, so that
+    ``b = h*dhat^2 / sum(h*dhat^2)``, so that
     ``R_Pi = 1 - ||sqrt(b) * rho||^2``.  Unlike ``R_Pi = tau`` this form
     keeps its relative accuracy as tau -> 1.
 
@@ -200,8 +186,7 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
         raise OutOfRangeError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if tau == 1.0:
         return 0.0
-    _, _, dhat, phi = _spectral_parts(prim)
-    base = phi * dhat**2
+    base = prim.h_hat * prim.half_gap_hat**2
     b = base / base.sum()
     target = math.sqrt(1.0 - tau)
     pad = 1.0 + ROOT_RTOL
@@ -237,9 +222,9 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
         norm = math.sqrt(float(b @ (rho * rho)))
         return norm - target, float(b @ (rho * slope)) / norm
 
-    _check_monotone(lambda x: 1.0 - float(b @ rho_of(x)[0] ** 2), lo, hi)
+    _check_monotone(lambda x: float(b @ rho_of(x)[0] ** 2), lo, hi)
     x = _newton_root(g, lo, hi, start, what)
-    residual = _r_pi_of_rho(phi, dhat, rho_of(x)[0]) - tau  # |rho| suffices
+    residual = _ratios_of_rho(prim, rho_of(x)[0])[1] - tau  # |rho| suffices
     if abs(residual) > RESIDUAL_TOL:
         raise NoConvergenceError(f"{what}: profit-ratio residual {residual!r}")
     return s1 * x / (1.0 + x) if branch == "plus" else x
@@ -252,9 +237,8 @@ def eta_hat_plus(prim: MarketPrimitives) -> float:
 
 def rv_plus(prim: MarketPrimitives, tau: float) -> float:
     """R_V_plus: the largest surplus ratio achievable at profit ratio tau."""
-    _, _, dhat, phi = _spectral_parts(prim)
     eta = solve_eta_for_tau(prim, tau, "plus")
-    return _r_v_of_rho(phi, dhat, _rho_plus(prim, eta))
+    return _ratios_of_rho(prim, _rho_plus(prim, eta))[0]
 
 
 def rv_bounds(prim: MarketPrimitives, tau: float) -> tuple[float, float]:
@@ -262,9 +246,8 @@ def rv_bounds(prim: MarketPrimitives, tau: float) -> tuple[float, float]:
 
     Every surplus ratio between the two is feasible at that profit level.
     """
-    _, _, dhat, phi = _spectral_parts(prim)
     u = solve_eta_for_tau(prim, tau, "minus")
-    return _r_v_of_rho(phi, dhat, _rho_minus_u(prim, u)), rv_plus(prim, tau)
+    return _ratios_of_rho(prim, _rho_minus_u(prim, u))[0], rv_plus(prim, tau)
 
 
 def eta_at_average(prim: MarketPrimitives, theta, level: float) -> float | None:
@@ -276,8 +259,7 @@ def eta_at_average(prim: MarketPrimitives, theta, level: float) -> float | None:
     on ``[0, eta_hat_plus]``.
     """
     theta = np.asarray(theta, dtype=float)
-    _, w, dhat, _ = _spectral_parts(prim)
-    weight = (w.T @ theta) * dhat
+    weight = (prim.net.spectrum.eigenvectors.T @ theta) * prim.half_gap_hat
     drop = float(theta @ unrestricted_price(prim)) - level
     s1, growth, q_of = _plus_coordinate(prim)
     eta_cap = eta_hat_plus(prim)
@@ -325,7 +307,6 @@ def frontier(prim: MarketPrimitives, tau_grid=None) -> list[ParetoPoint]:
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or np.any(tau_grid < 0.0) or np.any(tau_grid > 1.0):
         raise OutOfRangeError("tau grid must be nonempty and lie within [0, 1]")
-    _, w, dhat, phi = _spectral_parts(prim)
     points = []
     for tau in tau_grid:
         eta = solve_eta_for_tau(prim, float(tau), "plus")
@@ -337,10 +318,10 @@ def frontier(prim: MarketPrimitives, tau_grid=None) -> list[ParetoPoint]:
                 tau=float(tau),
                 eta_plus=eta,
                 eta_minus_u=u,
-                price_plus=_price_of_rho(prim, w, dhat, rho_p),
-                price_minus=_price_of_rho(prim, w, dhat, rho_m),
-                r_v_plus=_r_v_of_rho(phi, dhat, rho_p),
-                r_v_minus=_r_v_of_rho(phi, dhat, rho_m),
+                price_plus=_price_of_rho(prim, rho_p),
+                price_minus=_price_of_rho(prim, rho_m),
+                r_v_plus=_ratios_of_rho(prim, rho_p)[0],
+                r_v_minus=_ratios_of_rho(prim, rho_m)[0],
             )
         )
     return points

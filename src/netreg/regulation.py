@@ -55,6 +55,7 @@ from .market import (
     MarketPrimitives,
     WelfareOutcome,
     half_gap,
+    limit_ratios,
     ratios,
     unrestricted_price,
     welfare_outcome,
@@ -538,21 +539,23 @@ def classify_limit(prim: MarketPrimitives, k: RegulationSet) -> LimitClassificat
         label, a_star = Classification.NEUTRAL, 0.0
     if not np.isfinite(a_star):
         raise InvariantError("a nonempty set cannot have an infinite minimiser")
+    limit_r_v, limit_r_pi = limit_ratios(a_star, allow_out_of_range=True)
     return LimitClassification(
         label=label,
         a_star=float(a_star),
         interval=interval,
-        limit_r_v=(1.0 - a_star) ** 2,
-        limit_r_pi=1.0 - a_star**2,
+        limit_r_v=limit_r_v,
+        limit_r_pi=limit_r_pi,
     )
 
 
-def gap(prim: MarketPrimitives, k: RegulationSet) -> float:
-    """Vertical distance from the equilibrium surplus ratio to the frontier.
+def gap_parts(prim: MarketPrimitives, k: RegulationSet) -> tuple[np.ndarray, float, float, float]:
+    """``(p*, R_V(p*), tau*, R_V_plus(tau*))``: the equilibrium price, its
+    welfare ratios and the frontier surplus ratio at its profit ratio.
 
-    Evaluates the equilibrium profit ratio tau*, solves the frontier point
-    at that tau*, and returns ``R_V_plus(tau*) - R_V(p*)`` (nonnegative up
-    to root tolerance).
+    The profit ratio tau* is clamped to [0, 1] before the frontier solve; one
+    below -1e-9 raises ``OutOfRangeError``, since the frontier is undefined
+    there.
     """
     p_star = project(prim, k)
     r_v_star, tau_star = ratios(prim, p_star)
@@ -560,5 +563,12 @@ def gap(prim: MarketPrimitives, k: RegulationSet) -> float:
         raise OutOfRangeError(
             f"equilibrium profit ratio {tau_star!r} is negative; frontier undefined there"
         )
-    tau_star = min(max(tau_star, 0.0), 1.0)
-    return paretomod.rv_plus(prim, tau_star) - r_v_star
+    r_v_plus = paretomod.rv_plus(prim, min(max(tau_star, 0.0), 1.0))
+    return p_star, r_v_star, tau_star, r_v_plus
+
+
+def gap(prim: MarketPrimitives, k: RegulationSet) -> float:
+    """Vertical distance ``R_V_plus(tau*) - R_V(p*)`` from the equilibrium
+    surplus ratio to the frontier (nonnegative up to root tolerance)."""
+    _, r_v_star, _, r_v_plus = gap_parts(prim, k)
+    return r_v_plus - r_v_star

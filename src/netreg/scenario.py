@@ -65,13 +65,13 @@ from .regulation import (
     Uniform,
 )
 
-_SECTIONS = ("network", "values", "costs", "regulation", "delta_grid")
+# section -> its keys, both in canonical emission order
 _SECTION_KEYS = {
-    "network": {"kind", "core_size", "periphery_per_core", "part1", "part2", "nodes", "adjacency"},
-    "values": {"a", "theta", "part1"},
-    "costs": {"c"},
-    "regulation": {"kind", "lower", "upper", "max_difference", "weights", "cap", "halfspace"},
-    "delta_grid": {"count", "max_fraction"},
+    "network": ("kind", "core_size", "periphery_per_core", "part1", "part2", "nodes", "adjacency"),
+    "values": ("a", "theta", "part1"),
+    "costs": ("c",),
+    "regulation": ("kind", "lower", "upper", "max_difference", "weights", "cap", "halfspace"),
+    "delta_grid": ("count", "max_fraction"),
 }
 
 
@@ -97,11 +97,22 @@ def _fmt(x: float) -> str:
     return repr(float(x))  # shortest text that round-trips the value
 
 
-def _parse_vector(value, line_no):
+def _parse_numbers(value, line_no, kind=float):
     try:
-        return np.array([float(tok) for tok in value.split()])
+        return [kind(tok) for tok in value.split()]
     except ValueError as err:
         raise ScenarioParseError(line_no, f"bad number in {value!r}") from err
+
+
+def _parse_vector(value, line_no):
+    return np.array(_parse_numbers(value, line_no))
+
+
+def _parse_scalar(value, line_no, kind=float):
+    numbers = _parse_numbers(value, line_no, kind)
+    if len(numbers) != 1:
+        raise ScenarioParseError(line_no, f"expected one number, got {value!r}")
+    return numbers[0]
 
 
 def _parse_matrix(value, line_no):
@@ -113,8 +124,8 @@ def _parse_matrix(value, line_no):
 
 
 def _collect(text):
-    sections = {name: {} for name in _SECTIONS}
-    lines = {name: {} for name in _SECTIONS}
+    sections = {name: {} for name in _SECTION_KEYS}
+    lines = {name: {} for name in _SECTION_KEYS}
     current = None
     for line_no, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -122,7 +133,7 @@ def _collect(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _SECTION_KEYS:
                 raise ScenarioParseError(line_no, f"unknown section [{name}]")
             current = name
             continue
@@ -151,19 +162,20 @@ def _need(sec, lin, section_name, key):
 
 def _build_network(sec, lin):
     kind, line_no = _need(sec, lin, "network", "kind")
+
+    def size(key):
+        return _parse_scalar(*_need(sec, lin, "network", key), int)
+
     if kind == "core_periphery":
-        core, _ = _need(sec, lin, "network", "core_size")
-        ppc, _ = _need(sec, lin, "network", "periphery_per_core")
-        net = netmod.gen_core_periphery(int(core), int(ppc))
-        part1 = tuple(range(int(core)))
+        core = size("core_size")
+        net = netmod.gen_core_periphery(core, size("periphery_per_core"))
+        part1 = tuple(range(core))
     elif kind == "complete_bipartite":
-        m, _ = _need(sec, lin, "network", "part1")
-        k, _ = _need(sec, lin, "network", "part2")
-        net = netmod.gen_complete_bipartite(int(m), int(k))
-        part1 = tuple(range(int(m)))
+        m = size("part1")
+        net = netmod.gen_complete_bipartite(m, size("part2"))
+        part1 = tuple(range(m))
     elif kind == "complete":
-        nodes, _ = _need(sec, lin, "network", "nodes")
-        net = netmod.gen_complete(int(nodes))
+        net = netmod.gen_complete(size("nodes"))
         part1 = None
     elif kind == "inline":
         text, adj_line = _need(sec, lin, "network", "adjacency")
@@ -188,7 +200,7 @@ def _build_values(sec, lin, net, generator_part1):
     if theta.shape != (2,):
         raise ValidationError("'theta' must give exactly two per-part levels")
     if "part1" in sec:
-        part1 = tuple(int(tok) for tok in sec["part1"].split())
+        part1 = tuple(_parse_numbers(sec["part1"], lin.get("part1", 0), int))
     else:
         part1 = generator_part1
     if part1 is None:
@@ -228,14 +240,13 @@ def _build_regulation(sec, lin, net):
         if ";" in text or len(text.split()) > 1:
             mat = _parse_matrix(text, ln)
         else:
-            cap = float(text)
-            mat = np.full((net.n, net.n), cap)
+            mat = np.full((net.n, net.n), _parse_scalar(text, ln))
             np.fill_diagonal(mat, 0.0)
         return PriceDifference(delta_matrix=mat)
     if kind == "average_price":
         weights, ln = _need(sec, lin, "regulation", "weights")
-        cap, _ = _need(sec, lin, "regulation", "cap")
-        return AveragePrice(theta=_parse_vector(weights, ln), cap=float(cap))
+        cap = _parse_scalar(*_need(sec, lin, "regulation", "cap"))
+        return AveragePrice(theta=_parse_vector(weights, ln), cap=cap)
     if kind == "halfspaces":
         entries, ln = _need(sec, lin, "regulation", "halfspace")
         constraints = []
@@ -243,7 +254,7 @@ def _build_regulation(sec, lin, net):
             if "<=" not in entry:
                 raise ScenarioParseError(ln, f"halfspace needs 'normal <= offset': {entry!r}")
             normal, offset = entry.split("<=", 1)
-            constraints.append((_parse_vector(normal, ln), float(offset)))
+            constraints.append((_parse_vector(normal, ln), _parse_scalar(offset, ln)))
         return Halfspaces(constraints=tuple(constraints))
     raise ValidationError(f"unknown regulation kind {kind!r}")
 
@@ -255,9 +266,9 @@ def parse_scenario(text: str) -> Scenario:
     a, part1 = _build_values(sections["values"], lines["values"], net, generator_part1)
     c = _build_costs(sections["costs"], lines["costs"], net)
     regulation = _build_regulation(sections["regulation"], lines["regulation"], net)
-    grid = sections["delta_grid"]
-    count = int(grid.get("count", "60"))
-    max_fraction = float(grid.get("max_fraction", "0.999999"))
+    grid, grid_lines = sections["delta_grid"], lines["delta_grid"]
+    count = _parse_scalar(grid.get("count", "60"), grid_lines.get("count", 0), int)
+    max_fraction = _parse_scalar(grid.get("max_fraction", "0.999999"), grid_lines.get("max_fraction", 0))
     if count < 1:
         raise ValidationError(f"delta_grid count must be >= 1, got {count}")
     if not 0.0 < max_fraction < 1.0:
@@ -277,32 +288,29 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def format_scenario(s: Scenario) -> str:
-    """Canonical text for a scenario; parse(format(s)) reproduces it."""
+def _emit(sections: dict) -> str:
+    """Canonical text: nonempty sections and their keys in table order."""
     out = []
-
-    def emit_section(name, keys):
-        src = s.raw[name]
+    for name, keys in _SECTION_KEYS.items():
+        src = sections.get(name)
         if not src:
-            return
+            continue
+        unknown = set(src) - set(keys)
+        if unknown:
+            raise ValidationError(f"unknown keys {sorted(unknown)} in section [{name}]")
         out.append(f"[{name}]")
         for key in keys:
-            if key not in src:
-                continue
-            value = src[key]
             if key == "halfspace":
-                for entry in value:
-                    out.append(f"halfspace = {entry}")
-            else:
-                out.append(f"{key} = {value}")
+                out += [f"halfspace = {entry}" for entry in src.get(key, ())]
+            elif key in src:
+                out.append(f"{key} = {src[key]}")
         out.append("")
-
-    emit_section("network", ["kind", "core_size", "periphery_per_core", "part1", "part2", "nodes", "adjacency"])
-    emit_section("values", ["a", "theta", "part1"])
-    emit_section("costs", ["c"])
-    emit_section("regulation", ["kind", "lower", "upper", "max_difference", "weights", "cap", "halfspace"])
-    emit_section("delta_grid", ["count", "max_fraction"])
     return "\n".join(out).rstrip("\n") + "\n"
+
+
+def format_scenario(s: Scenario) -> str:
+    """Canonical text for a scenario; parse(format(s)) reproduces it."""
+    return _emit(s.raw)
 
 
 def scenario_text(
@@ -314,18 +322,15 @@ def scenario_text(
     max_fraction: float = 0.999999,
 ) -> str:
     """Assemble scenario text from per-section key-value dicts."""
-    parts = ["[network]"]
-    parts += [f"{k} = {v}" for k, v in network_lines.items()]
-    parts += ["", "[values]"]
-    parts += [f"{k} = {v}" for k, v in values_lines.items()]
-    parts += ["", "[costs]", f"c = {costs}", "", "[regulation]"]
-    for k, v in regulation_lines.items():
-        if k == "halfspace":
-            parts += [f"halfspace = {entry}" for entry in v]
-        else:
-            parts.append(f"{k} = {v}")
-    parts += ["", "[delta_grid]", f"count = {count}", f"max_fraction = {_fmt(max_fraction)}"]
-    return "\n".join(parts) + "\n"
+    return _emit(
+        {
+            "network": network_lines,
+            "values": values_lines,
+            "costs": {"c": costs},
+            "regulation": regulation_lines,
+            "delta_grid": {"count": count, "max_fraction": _fmt(max_fraction)},
+        }
+    )
 
 
 def delta_grid(s: Scenario) -> np.ndarray:

@@ -14,9 +14,8 @@ returns ``{stem: rows}``; multi-cap families get one stem per cap value.
 from dataclasses import dataclass
 
 from .errors import NetregError, SweepError, UnknownExperimentError
-from .market import MarketPrimitives, a_statistic, ratios
-from .pareto import rv_plus
-from .regulation import project
+from .market import MarketPrimitives, a_statistic
+from .regulation import gap_parts
 from .scenario import Scenario, delta_grid, parse_scenario, scenario_text
 
 CSV_HEADER = "delta,r_v_star,r_pi_star,r_v_plus,a_stat,gap"
@@ -34,19 +33,13 @@ class SweepRow:
 
 def _row_at(scenario: Scenario, delta: float) -> SweepRow:
     prim = MarketPrimitives(net=scenario.network, a=scenario.a, c=scenario.c, delta=delta)
-    p_star = project(prim, scenario.regulation)
-    r_v_star, r_pi_star = ratios(prim, p_star)
-    stat = a_statistic(prim, p_star)
-    if r_pi_star < -1e-9:
-        raise SweepError(delta, f"equilibrium profit ratio {r_pi_star!r} is negative")
-    tau = min(max(r_pi_star, 0.0), 1.0)
-    r_v_plus = rv_plus(prim, tau)
+    p_star, r_v_star, r_pi_star, r_v_plus = gap_parts(prim, scenario.regulation)
     return SweepRow(
         delta=float(delta),
         r_v_star=r_v_star,
         r_pi_star=r_pi_star,
         r_v_plus=r_v_plus,
-        a_stat=stat,
+        a_stat=a_statistic(prim, p_star),
         gap=r_v_plus - r_v_star,
     )
 
@@ -54,15 +47,14 @@ def _row_at(scenario: Scenario, delta: float) -> SweepRow:
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """One SweepRow per grid spillover, ordered ascending.
 
-    A failure at any grid point aborts the sweep with the offending value
-    named in the exception.
+    A failure at any grid point, a negative equilibrium profit ratio
+    included, aborts the sweep with a ``SweepError`` naming the offending
+    value.
     """
     rows = []
     for delta in delta_grid(scenario):
         try:
             rows.append(_row_at(scenario, float(delta)))
-        except SweepError:
-            raise
         except NetregError as err:
             raise SweepError(float(delta), err) from err
     return rows
@@ -113,77 +105,38 @@ def read_csv(source) -> list[SweepRow]:
 _CASE_THETAS = {"a": "20 10", "b": "10 20"}
 _DIFF_CAPS = (0.0, 2.5, 5.0)
 _GRID_FRACTION = 0.999999
+_CORE_PERIPHERY = {"kind": "core_periphery", "core_size": "3", "periphery_per_core": "2"}
+_BIPARTITE = {"kind": "complete_bipartite", "part1": "2", "part2": "10"}
 
+# family -> ([network] lines, extra [values] lines, one stem per difference cap?)
+_FAMILIES = {
+    "fig52": (_CORE_PERIPHERY, {}, False),
+    "figB1": ({"kind": "complete", "nodes": "9"}, {"part1": "0 1 2"}, False),
+    "figB2": (_CORE_PERIPHERY, {}, True),
+    "figB3": (_BIPARTITE, {}, False),
+    "figB4": (_BIPARTITE, {}, True),
+}
 
-def _core_periphery_net():
-    return {"kind": "core_periphery", "core_size": "3", "periphery_per_core": "2"}
-
-
-def _bipartite_net():
-    return {"kind": "complete_bipartite", "part1": "2", "part2": "10"}
-
-
-def _complete_net():
-    return {"kind": "complete", "nodes": "9"}
-
-
-def _experiment_specs(name: str):
-    case = name[-1]
-    theta = _CASE_THETAS.get(case)
-    if theta is None:
-        raise UnknownExperimentError(f"unknown experiment {name!r}")
-    base = name[:-1]
-    if base == "fig52":
-        yield name, _core_periphery_net(), {"theta": theta}, {"kind": "uniform"}, _GRID_FRACTION
-    elif base == "figB1":
-        yield name, _complete_net(), {"theta": theta, "part1": "0 1 2"}, {"kind": "uniform"}, _GRID_FRACTION
-    elif base == "figB2":
-        for cap in _DIFF_CAPS:
-            yield (
-                f"{name}_cap{cap:g}",
-                _core_periphery_net(),
-                {"theta": theta},
-                {"kind": "price_difference", "max_difference": f"{cap:g}"},
-                _GRID_FRACTION,
-            )
-    elif base == "figB3":
-        yield name, _bipartite_net(), {"theta": theta}, {"kind": "uniform"}, _GRID_FRACTION
-    elif base == "figB4":
-        for cap in _DIFF_CAPS:
-            yield (
-                f"{name}_cap{cap:g}",
-                _bipartite_net(),
-                {"theta": theta},
-                {"kind": "price_difference", "max_difference": f"{cap:g}"},
-                _GRID_FRACTION,
-            )
-    else:
-        raise UnknownExperimentError(f"unknown experiment {name!r}")
-
-
-EXPERIMENT_NAMES = (
-    "fig52a",
-    "fig52b",
-    "figB1a",
-    "figB1b",
-    "figB2a",
-    "figB2b",
-    "figB3a",
-    "figB3b",
-    "figB4a",
-    "figB4b",
-)
+EXPERIMENT_NAMES = tuple(family + case for family in _FAMILIES for case in _CASE_THETAS)
 
 
 def experiment_scenarios(name: str, count: int = 60) -> dict[str, Scenario]:
     """Scenarios behind a named experiment, keyed by output stem."""
     if name not in EXPERIMENT_NAMES:
         raise UnknownExperimentError(f"unknown experiment {name!r}; known: {EXPERIMENT_NAMES}")
-    out = {}
-    for stem, net_lines, value_lines, reg_lines, fraction in _experiment_specs(name):
-        text = scenario_text(net_lines, value_lines, reg_lines, count=count, max_fraction=fraction)
-        out[stem] = parse_scenario(text)
-    return out
+    network, extra, capped = _FAMILIES[name[:-1]]
+    values = {"theta": _CASE_THETAS[name[-1]], **extra}
+    if capped:
+        regulations = {
+            f"{name}_cap{cap:g}": {"kind": "price_difference", "max_difference": f"{cap:g}"}
+            for cap in _DIFF_CAPS
+        }
+    else:
+        regulations = {name: {"kind": "uniform"}}
+    return {
+        stem: parse_scenario(scenario_text(network, values, lines, count=count, max_fraction=_GRID_FRACTION))
+        for stem, lines in regulations.items()
+    }
 
 
 def run_named_experiment(name: str, count: int = 60) -> dict[str, list[SweepRow]]:

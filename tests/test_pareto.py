@@ -71,7 +71,7 @@ class TestEtaSolve:
         assert eta == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_residuals(self, rng):
-        from netreg.pareto import _r_pi_of_rho, _spectral_parts
+        from netreg.market import spectral_ratios
 
         for _ in range(10):
             net = random_connected_network(rng, rng.integers(2, 10))
@@ -80,9 +80,9 @@ class TestEtaSolve:
             eta = netreg.solve_eta_for_tau(prim, tau, "plus")
             u = netreg.solve_eta_for_tau(prim, tau, "minus")
             # the solver's own residual meets the tight tolerance ...
-            _, _, dhat, phi = _spectral_parts(prim)
-            assert abs(_r_pi_of_rho(phi, dhat, _rho_plus(prim, eta)) - tau) <= 1e-12
-            assert abs(_r_pi_of_rho(phi, dhat, _rho_minus_u(prim, u)) - tau) <= 1e-12
+            dhat = prim.half_gap_hat
+            assert abs(spectral_ratios(prim, -_rho_plus(prim, eta) * dhat)[1] - tau) <= 1e-12
+            assert abs(spectral_ratios(prim, -_rho_minus_u(prim, u) * dhat)[1] - tau) <= 1e-12
             # ... and the direct evaluation path agrees
             _, r_pi_plus = netreg.ratios(prim, netreg.pareto_price(prim, eta))
             _, r_pi_minus = netreg.ratios(prim, netreg.pareto_price_minus(prim, u))

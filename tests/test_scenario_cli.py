@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import netreg
 from netreg.cli import main
 from netreg.scenario import delta_grid, format_scenario, parse_scenario, scenario_text
-from netreg.sweeps import CSV_HEADER, read_csv
+from netreg.sweeps import CSV_HEADER, experiment_scenarios, read_csv
 
 
 CP_UNIFORM = scenario_text(
@@ -94,6 +96,29 @@ class TestParsing:
         s = parse_scenario(text)
         assert np.array_equal(s.c, np.zeros(9))
 
+    @pytest.mark.parametrize(
+        "text, old, new",
+        [
+            (CP_UNIFORM, "core_size = 3", "core_size = three"),
+            (CP_UNIFORM, "count = 12", "count = 6o"),
+            (CP_UNIFORM, "count = 12", "count = 2.5"),
+            (CP_UNIFORM, "max_fraction = 0.999", "max_fraction = x"),
+            (CP_UNIFORM, "theta = 20 10", "theta = 20 10\npart1 = 0 x"),
+            (INLINE, "box\nlower = -inf 0\nupper = 4 inf", "average_price\nweights = 0.5 0.5\ncap = seven"),
+        ],
+        ids=["core_size", "count_typo", "count_fraction", "max_fraction", "part1", "cap"],
+    )
+    def test_malformed_scalar_names_its_line(self, tmp_path, capsys, text, old, new):
+        bad = text.replace(old, new)
+        bad_line = new.splitlines()[-1]
+        with pytest.raises(netreg.ScenarioParseError) as err:
+            parse_scenario(bad)
+        assert err.value.line_no == bad.splitlines().index(bad_line) + 1
+        scen = tmp_path / "bad.scn"
+        scen.write_text(bad)
+        assert main(["sweep", str(scen)]) == 1
+        assert f"line {err.value.line_no}: " in capsys.readouterr().err
+
     def test_halfspace_lines(self):
         text = INLINE.replace(
             "kind = box\nlower = -inf 0\nupper = 4 inf",
@@ -155,6 +180,17 @@ class TestSweep:
         assert err.value.delta is not None
         assert str(err.value.delta) in str(err.value)
 
+    def test_rows_match_single_point_api(self):
+        scenarios = [parse_scenario(CP_UNIFORM), parse_scenario(INLINE)]
+        scenarios += experiment_scenarios("figB2b", count=6).values()
+        for s in scenarios:
+            for row in netreg.run_sweep(s):
+                prim = netreg.MarketPrimitives(net=s.network, a=s.a, c=s.c, delta=row.delta)
+                p_star = netreg.project(prim, s.regulation)
+                assert row.gap == netreg.gap(prim, s.regulation)
+                assert (row.r_v_star, row.r_pi_star) == netreg.ratios(prim, p_star)
+                assert row.a_stat == netreg.a_statistic(prim, p_star)
+
 
 class TestCsv:
     def test_header_and_length(self, tmp_path):
@@ -188,6 +224,22 @@ class TestNamedExperiments:
     def test_unknown_name(self):
         with pytest.raises(netreg.UnknownExperimentError):
             netreg.run_named_experiment("fig99x")
+
+    def test_stems_and_texts_pinned(self):
+        families = ("52", "B1", "B2", "B3", "B4")
+        assert netreg.EXPERIMENT_NAMES == tuple(f"fig{f}{case}" for f in families for case in "ab")
+        texts = {}
+        for name in netreg.EXPERIMENT_NAMES:
+            scenarios = experiment_scenarios(name)
+            capped = name[:-1] in ("figB2", "figB4")
+            assert list(scenarios) == ([f"{name}_cap{cap}" for cap in ("0", "2.5", "5")] if capped else [name])
+            texts.update((stem, format_scenario(s)) for stem, s in scenarios.items())
+        # sha256 over "stem NUL text NUL" in sorted stem order: any edit to an
+        # experiment's network, values, regulation or grid changes it
+        digest = hashlib.sha256()
+        for stem in sorted(texts):
+            digest.update(stem.encode() + b"\0" + texts[stem].encode() + b"\0")
+        assert digest.hexdigest() == "5b3a38a84e964a708acb8beab8472c53bc8a0f5dbd3ad037bf66fa34e33aca3e"
 
     def test_fig52a_shape(self):
         rows = netreg.run_named_experiment("fig52a", count=50)["fig52a"]
