@@ -214,7 +214,7 @@ def welfare_outcome(prim: MarketPrimitives, p) -> WelfareOutcome:
     return WelfareOutcome(
         price=out_p,
         quantity=x,
-        profit=profit(prim, p),
+        profit=float((p - prim.c) @ x),
         surplus=0.5 * float(x @ x),
         r_v=r_v,
         r_pi=r_pi,

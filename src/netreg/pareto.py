@@ -22,15 +22,16 @@ the form ``||sqrt(b) * rho|| = sqrt(1 - tau)``, with weights
 ``b = h*d_hat^2 / sum(h*d_hat^2)`` and ``h = 1/(1 - delta*lambda)``, whose
 relative accuracy does not decay as tau -> 1 (a test on ``|R_Pi - tau|``
 alone leaves an error of order ``1e-12 / sqrt(1 - tau)`` in the surplus
-ratio).  The maximising branch is solved in ``t = rho_1 = eta/(s_1 - eta)``
-with ``s = 2 - 2*delta*lambda``, and the minimising branch in u.  The norm
-is strictly increasing along each branch and lies within known multiples
-of ``|rho_1|``, which gives a tight starting bracket.  Newton steps kept
-inside the shrinking bracket, with bisection whenever a step would leave
-it, converge to machine precision, on the desk experiments in under two
-evaluations per root on average.  The same routine finds the frontier
-price with a given weighted average (``eta_at_average``).  A Ramsey
-cross-check recovers the same prices from the weighted objective
+ratio).  Both branches are solved in one coordinate, ``v = |rho_1|``, with
+``rho_1 = t = eta/(s_1 - eta)`` and ``s = 2 - 2*delta*lambda``: ``t = v`` on
+the maximising branch and ``t = -v`` on the minimising one.  Every
+``|rho_i|`` rises strictly in v, so the root is unique, and the norm lies
+within known multiples of v, which gives a tight starting bracket.  Newton
+steps kept inside the shrinking bracket, with bisection whenever a step
+would leave it, converge to machine precision, on the desk experiments in
+under two evaluations per root on average.  The same routine finds the
+frontier price with a given weighted average (``eta_at_average``).  A
+Ramsey cross-check recovers the same prices from the weighted objective
 ``profit + eta * surplus`` through an independent dense solve.
 """
 
@@ -41,7 +42,6 @@ import numpy as np
 
 from .errors import (
     EtaOutOfRangeError,
-    InvariantError,
     NoConvergenceError,
     OutOfRangeError,
     SingularSystemError,
@@ -107,15 +107,6 @@ def pareto_price_minus(prim: MarketPrimitives, u: float) -> np.ndarray:
     return _price_of_rho(prim, _rho_minus_u(prim, u))
 
 
-def _check_monotone(g, lo, hi):
-    # the profit loss 1 - R_Pi rises strictly along each branch; spot-check the bracket
-    probes = [lo + t * (hi - lo) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    vals = [g(t) for t in probes]
-    for left, right in zip(vals, vals[1:]):
-        if not right >= left - 1e-12:
-            raise InvariantError("profit loss is not increasing on the bracket")
-
-
 def _newton_root(g, lo, hi, x, what):
     """Root of an increasing function on ``[lo, hi]`` by Newton steps from x.
 
@@ -141,22 +132,74 @@ def _newton_root(g, lo, hi, x, what):
     raise NoConvergenceError(f"{what}: no root after {MAX_ROOT_STEPS} steps")
 
 
-def _plus_coordinate(prim):
-    """``(s_1, s / s_1, q)`` for the maximising branch in ``t = rho_1 = eta/(s_1 - eta)``.
+def eta_of_rho1(prim: MarketPrimitives, t: float) -> float:
+    """The eta at which ``rho_1 = t``: ``s_1 t / (1 + t)`` for ``t > -1``."""
+    return eta_max(prim) * t / (1.0 + t)
 
-    With ``s_i = 2 - 2*delta*lambda_i``, ``eta = s_1 t/(1+t)`` and
-    ``rho_i = t q_i(t)`` where ``q_i(t) = s_1 / (s_1 + (s_i - s_1)(1+t))``;
-    ``s_i - s_1 = 2*delta*(lambda_1 - lambda_i) >= 0``, so ``rho_i <= t``
+
+def _rho1_coordinate(prim):
+    """``(s / s_1, q)`` for the family in ``t = rho_1 = eta/(s_1 - eta)``.
+
+    With ``s_i = 2 - 2*delta*lambda_i``, ``rho_i = t q_i(t)`` where
+    ``q_i(t) = s_1 / (s_1 + (s_i - s_1)(1+t))`` for every ``t >= -1``;
+    ``s_i - s_1 = 2*delta*(lambda_1 - lambda_i) >= 0``, so ``|rho_i| <= |t|``
     and ``d rho_i / dt = q_i^2 s_i / s_1``.
     """
     lam = prim.net.spectrum.eigenvalues
-    s1 = 2.0 - 2.0 * prim.delta * lam[0]
+    s1 = eta_max(prim)
     gaps = 2.0 * prim.delta * (lam[0] - lam)
 
     def q_of(t):
         return s1 / (s1 + gaps * (1.0 + t))
 
-    return s1, 1.0 + gaps / s1, q_of
+    return 1.0 + gaps / s1, q_of
+
+
+def _rho1_root(prim, tau, branch):
+    """``v = |rho_1|`` at which ``||sqrt(b) * rho|| = sqrt(1 - tau)``, with
+    ``t = v`` on the ``'plus'`` branch and ``t = -v`` on the ``'minus'`` one.
+
+    ``|rho_i| = v q_i(+-v)`` and ``d|rho_i|/dv = q_i^2 s_i / s_1`` on both
+    sides.  ``q_1 = 1`` and, over t, every other ``q_i`` falls from 1 at
+    ``t = -1`` through ``q_i(0)`` towards 0, so the norm over v lies between
+    ``kappa = ||sqrt(b) * q(0)||`` and ``sqrt(b_1)`` on the maximising branch
+    and between ``kappa`` and 1 on the minimising one.  The root therefore
+    lies in ``[sqrt(1-tau)/kappa, sqrt((1-tau)/b_1)]``, where Newton starts
+    at the low end, or in ``[sqrt(1-tau), sqrt(1-tau)/kappa]``, where it
+    starts at the high end.  Upper ends are padded by ``ROOT_RTOL`` against
+    rounding.  The profit-ratio residual at the returned v is the guard: a
+    bracket that missed the root would end Newton at one of its ends, where
+    the residual check fails.
+    """
+    base = prim.h_hat * prim.half_gap_hat**2
+    b = base / base.sum()
+    target = math.sqrt(1.0 - tau)
+    pad = 1.0 + ROOT_RTOL
+    growth, q_of = _rho1_coordinate(prim)
+    kappa = math.sqrt(float(b @ q_of(0.0) ** 2))
+    if branch == "plus":
+        sign, what = 1.0, "eta solve (plus branch)"
+        lo, hi = target / kappa, target / math.sqrt(float(b[0])) * pad
+        start = lo
+    else:
+        sign, what = -1.0, "u solve (minus branch)"
+        lo, hi = target, min(1.0, target / kappa * pad)
+        start = hi
+
+    def rho_of(v):  # |rho| and its slope in v
+        q = q_of(sign * v)
+        return v * q, q * q * growth
+
+    def g(v):
+        rho, slope = rho_of(v)
+        norm = math.sqrt(float(b @ (rho * rho)))
+        return norm - target, float(b @ (rho * slope)) / norm
+
+    v = _newton_root(g, lo, hi, start, what)
+    residual = _ratios_of_rho(prim, rho_of(v)[0])[1] - tau  # |rho| suffices
+    if abs(residual) > RESIDUAL_TOL:
+        raise NoConvergenceError(f"{what}: profit-ratio residual {residual!r}")
+    return v
 
 
 def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
@@ -168,17 +211,9 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
     Solves ``||sqrt(b) * rho|| = sqrt(1 - tau)`` with
     ``b = h*dhat^2 / sum(h*dhat^2)``, so that
     ``R_Pi = 1 - ||sqrt(b) * rho||^2``.  Unlike ``R_Pi = tau`` this form
-    keeps its relative accuracy as tau -> 1.
-
-    The maximising branch is solved in ``t = rho_1``.  There every
-    ``rho_i = t q_i(t)`` with ``q_1 = 1`` and ``q_i`` falling in t, so the
-    norm over t falls from ``kappa = ||sqrt(b) * q(0)||`` towards
-    ``sqrt(b_1)``: the root lies in ``[sqrt(1-tau)/kappa, sqrt((1-tau)/b_1)]``
-    and Newton starts at the low end.  The minimising branch is solved in
-    u; in ``v = |rho_1|`` its norm over v rises from ``kappa`` to 1, so
-    ``v`` lies in ``[sqrt(1-tau), sqrt(1-tau)/kappa]``, mapped to u, and
-    Newton starts at the high end.  Upper ends are padded by ``ROOT_RTOL``
-    against rounding.
+    keeps its relative accuracy as tau -> 1.  Both branches are solved in
+    ``v = |rho_1|``; the minimising branch maps the root to
+    ``u = s_1 v / (2(1-v) + s_1 v)``.
     """
     if not 0.0 <= tau <= 1.0:
         raise OutOfRangeError(f"tau={tau!r} must lie in [0, 1]")
@@ -186,48 +221,11 @@ def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
         raise OutOfRangeError(f"branch must be 'plus' or 'minus', got {branch!r}")
     if tau == 1.0:
         return 0.0
-    base = prim.h_hat * prim.half_gap_hat**2
-    b = base / base.sum()
-    target = math.sqrt(1.0 - tau)
-    pad = 1.0 + ROOT_RTOL
-
+    v = _rho1_root(prim, tau, branch)
     if branch == "plus":
-        s1, growth, q_of = _plus_coordinate(prim)
-
-        def rho_of(t):
-            q = q_of(t)
-            return t * q, q * q * growth
-
-        kappa = math.sqrt(float(b @ q_of(0.0) ** 2))
-        lo, hi = target / kappa, target / math.sqrt(float(b[0])) * pad
-        start, what = lo, "eta solve (plus branch)"
-    else:
-        k = prim.delta * prim.net.spectrum.eigenvalues
-        stay = 1.0 - k
-
-        def rho_of(u):
-            # |rho_i| = u / (1 - delta*lambda_i*(1-u)) and its derivative
-            den = stay + k * u
-            return u / den, stay / (den * den)
-
-        def u_of(v):  # the u at which |rho_1| = v
-            return v * stay[0] / (stay[0] + k[0] * (1.0 - v))
-
-        kappa = math.sqrt(float(b @ (stay[0] / stay) ** 2))
-        lo, hi = u_of(target), u_of(min(1.0, target / kappa * pad))
-        start, what = hi, "u solve (minus branch)"
-
-    def g(x):
-        rho, slope = rho_of(x)
-        norm = math.sqrt(float(b @ (rho * rho)))
-        return norm - target, float(b @ (rho * slope)) / norm
-
-    _check_monotone(lambda x: float(b @ rho_of(x)[0] ** 2), lo, hi)
-    x = _newton_root(g, lo, hi, start, what)
-    residual = _ratios_of_rho(prim, rho_of(x)[0])[1] - tau  # |rho| suffices
-    if abs(residual) > RESIDUAL_TOL:
-        raise NoConvergenceError(f"{what}: profit-ratio residual {residual!r}")
-    return s1 * x / (1.0 + x) if branch == "plus" else x
+        return eta_of_rho1(prim, v)
+    s1 = eta_max(prim)
+    return s1 * v / (2.0 * (1.0 - v) + s1 * v)
 
 
 def eta_hat_plus(prim: MarketPrimitives) -> float:
@@ -261,9 +259,8 @@ def eta_at_average(prim: MarketPrimitives, theta, level: float) -> float | None:
     theta = np.asarray(theta, dtype=float)
     weight = (prim.net.spectrum.eigenvectors.T @ theta) * prim.half_gap_hat
     drop = float(theta @ unrestricted_price(prim)) - level
-    s1, growth, q_of = _plus_coordinate(prim)
-    eta_cap = eta_hat_plus(prim)
-    t_cap = eta_cap / (s1 - eta_cap)
+    growth, q_of = _rho1_coordinate(prim)
+    t_cap = _rho1_root(prim, 0.0, "plus")
 
     def g(t):
         q = q_of(t)
@@ -272,7 +269,7 @@ def eta_at_average(prim: MarketPrimitives, theta, level: float) -> float | None:
     if drop < 0.0 or g(t_cap)[0] < 0.0:
         return None
     t = _newton_root(g, 0.0, t_cap, 0.0, "average-price solve")
-    return s1 * t / (1.0 + t)
+    return eta_of_rho1(prim, t)
 
 
 def ramsey_price(prim: MarketPrimitives, eta_plus: float) -> np.ndarray:

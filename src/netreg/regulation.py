@@ -395,8 +395,7 @@ def _box_certificate(prim, k):
     rho1 = float(w1 @ (unrestricted_price(prim) - k.upper)) / d1
     if rho1 < 0.0:
         return Certificate(False, reason="ceiling sits above the unrestricted price on average")
-    emax = paretomod.eta_max(prim)
-    eta = rho1 * emax / (1.0 + rho1)
+    eta = paretomod.eta_of_rho1(prim, rho1)
     eta_cap = paretomod.eta_hat_plus(prim)
     if eta > eta_cap * (1.0 + 1e-9) + 1e-12:
         return Certificate(False, reason="matching the ceiling would push profit below zero")

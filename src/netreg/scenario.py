@@ -144,13 +144,14 @@ def _collect(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTION_KEYS[current]:
             raise ScenarioParseError(line_no, f"unknown key {key!r} in section [{current}]")
-        if key == "halfspace":
+        if key == "halfspace":  # repeatable: one value and one line number per entry
             sections[current].setdefault(key, []).append(value)
+            lines[current].setdefault(key, []).append(line_no)
         elif key in sections[current]:
             raise ScenarioParseError(line_no, f"duplicate key {key!r} in section [{current}]")
         else:
             sections[current][key] = value
-        lines[current][key] = line_no
+            lines[current][key] = line_no
     return sections, lines
 
 
@@ -232,9 +233,9 @@ def _build_regulation(sec, lin, net):
     if kind == "uniform":
         return Uniform()
     if kind == "box":
-        lower, ln = _need(sec, lin, "regulation", "lower")
-        upper, _ = _need(sec, lin, "regulation", "upper")
-        return Box(lower=_parse_vector(lower, ln), upper=_parse_vector(upper, ln))
+        lower, lower_line = _need(sec, lin, "regulation", "lower")
+        upper, upper_line = _need(sec, lin, "regulation", "upper")
+        return Box(lower=_parse_vector(lower, lower_line), upper=_parse_vector(upper, upper_line))
     if kind == "price_difference":
         text, ln = _need(sec, lin, "regulation", "max_difference")
         if ";" in text or len(text.split()) > 1:
@@ -248,9 +249,9 @@ def _build_regulation(sec, lin, net):
         cap = _parse_scalar(*_need(sec, lin, "regulation", "cap"))
         return AveragePrice(theta=_parse_vector(weights, ln), cap=cap)
     if kind == "halfspaces":
-        entries, ln = _need(sec, lin, "regulation", "halfspace")
+        entries, entry_lines = _need(sec, lin, "regulation", "halfspace")
         constraints = []
-        for entry in entries:
+        for entry, ln in zip(entries, entry_lines):
             if "<=" not in entry:
                 raise ScenarioParseError(ln, f"halfspace needs 'normal <= offset': {entry!r}")
             normal, offset = entry.split("<=", 1)

@@ -265,6 +265,20 @@ class TestWelfareOutcome:
         assert out.r_pi <= 1.0 + 1e-12
         assert out.a_stat == pytest.approx(netreg.a_statistic(prim, p))
 
+    def test_one_h_product(self, rng, monkeypatch):
+        # demand and profit share the one H (a - p)
+        net = random_connected_network(rng, 5)
+        prim = random_primitives(rng, net)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return netreg.network.h_apply(*args)
+
+        monkeypatch.setattr(netreg.market, "h_apply", counting)
+        welfare_outcome(prim, rng.uniform(0.0, 8.0, 5))
+        assert len(calls) == 1
+
 
 def test_half_gap(rng):
     net = random_connected_network(rng, 4)

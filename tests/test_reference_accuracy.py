@@ -103,20 +103,21 @@ def _mp_bisect(decreasing, lo, hi):
     return (lo + hi) / 2
 
 
-@pytest.fixture(scope="module")
-def frontier_case():
-    """A seeded graph at a mid-range spillover, with a 50-digit frontier solver.
+def _frontier_reference(delta_fraction):
+    """A seeded graph at spillover ``delta_fraction / lambda_1``, with a
+    50-digit frontier solver.
 
     The reference diagonalises the float adjacency at 50 digits and solves
     ``R_Pi(p) = tau`` by bisection, with ``p - p_ur = -W (rho * W'd)`` and
     ``rho_i = eta / (2 - eta - 2*delta*lambda_i)`` on the maximising branch,
-    ``rho_i = -u / (1 - delta*lambda_i*(1-u))`` on the minimising one.
+    ``rho_i = -u / (1 - delta*lambda_i*(1-u))`` on the minimising one.  It
+    returns eta, u and ``R_V`` on both branches.
     """
     net = random_connected_network(np.random.default_rng(8), 8)
     rng = np.random.default_rng(9)
     a = rng.uniform(5.0, 15.0, net.n)
     c = rng.uniform(0.0, 3.0, net.n)
-    delta = 0.5 / net.lambda1
+    delta = delta_fraction / net.lambda1
     prim = netreg.MarketPrimitives(net=net, a=a, c=c, delta=delta)
     with mpmath.workdps(50):
         lam, vecs = mpmath.eigsy(mpmath.matrix(net.adjacency.tolist()))
@@ -132,6 +133,9 @@ def frontier_case():
             def r_pi(rho):
                 return 1 - mpmath.fsum(w * r**2 for w, r in zip(profit_w, rho)) / mpmath.fsum(profit_w)
 
+            def r_v(rho):
+                return mpmath.fsum(w * (1 + r) ** 2 for w, r in zip(surplus_w, rho)) / mpmath.fsum(surplus_w)
+
             def rho_plus(eta):
                 return [eta / (2 - eta - 2 * mpmath.mpf(delta) * lam[i]) for i in range(net.n)]
 
@@ -141,18 +145,39 @@ def frontier_case():
             eta_hi = 2 - 2 * mpmath.mpf(delta) * max(lam[i] for i in range(net.n))
             eta = _mp_bisect(lambda x: r_pi(rho_plus(x)) - tau, mpmath.mpf(0), eta_hi)
             u = _mp_bisect(lambda x: r_pi(rho_minus(x)) - tau, mpmath.mpf(0), mpmath.mpf(1))
-            rho = rho_plus(eta)
-            r_v = mpmath.fsum(w * (1 + r) ** 2 for w, r in zip(surplus_w, rho)) / mpmath.fsum(surplus_w)
-            return eta, u, r_v
+            return eta, u, r_v(rho_plus(eta)), r_v(rho_minus(u))
 
     return prim, reference
+
+
+@pytest.fixture(scope="module")
+def frontier_case():
+    return _frontier_reference(0.5)
+
+
+@pytest.fixture(scope="module")
+def near_bound_frontier_case():
+    return _frontier_reference(1.0 - 1e-6)
 
 
 @pytest.mark.parametrize("one_minus_tau", [0.5, 1e-8, 1e-10])
 def test_frontier_roots_at_machine_precision(frontier_case, one_minus_tau):
     prim, reference = frontier_case
     tau = 1.0 - one_minus_tau
-    eta, u, r_v = reference(tau)
+    eta, u, r_v_plus, r_v_minus = reference(tau)
     assert _rel(netreg.solve_eta_for_tau(prim, tau, "plus"), eta) <= RATIO_RTOL
     assert _rel(netreg.solve_eta_for_tau(prim, tau, "minus"), u) <= RATIO_RTOL
-    assert _rel(rv_plus(prim, tau), r_v) <= RATIO_RTOL
+    assert _rel(rv_plus(prim, tau), r_v_plus) <= RATIO_RTOL
+    assert _rel(netreg.rv_bounds(prim, tau)[0], r_v_minus) <= RATIO_RTOL
+
+
+@pytest.mark.parametrize("one_minus_tau", [0.5, 1e-8, 1e-10])
+def test_rv_bounds_near_the_spectral_bound(near_bound_frontier_case, one_minus_tau):
+    # eta and u carry about eps / (1 - delta*lambda_1) relative error here,
+    # from rounding in s_1 = 2 - 2*delta*lambda_1; the surplus ratios do not
+    prim, reference = near_bound_frontier_case
+    tau = 1.0 - one_minus_tau
+    _, _, r_v_plus, r_v_minus = reference(tau)
+    lo, hi = netreg.rv_bounds(prim, tau)
+    assert _rel(lo, r_v_minus) <= RATIO_RTOL
+    assert _rel(hi, r_v_plus) <= RATIO_RTOL

@@ -38,6 +38,11 @@ count = 5
 max_fraction = 0.9
 """
 
+HALFSPACES = INLINE.replace(
+    "kind = box\nlower = -inf 0\nupper = 4 inf",
+    "kind = halfspaces\nhalfspace = 1 0 <= 4\nhalfspace = 0 1 <= 9",
+)
+
 
 class TestParsing:
     def test_theta_resolution(self):
@@ -105,8 +110,10 @@ class TestParsing:
             (CP_UNIFORM, "max_fraction = 0.999", "max_fraction = x"),
             (CP_UNIFORM, "theta = 20 10", "theta = 20 10\npart1 = 0 x"),
             (INLINE, "box\nlower = -inf 0\nupper = 4 inf", "average_price\nweights = 0.5 0.5\ncap = seven"),
+            (INLINE, "upper = 4 inf", "upper = 5 x"),
+            (HALFSPACES, "halfspace = 1 0 <= 4", "halfspace = 1 x <= 5"),
         ],
-        ids=["core_size", "count_typo", "count_fraction", "max_fraction", "part1", "cap"],
+        ids=["core_size", "count_typo", "count_fraction", "max_fraction", "part1", "cap", "upper", "halfspace"],
     )
     def test_malformed_scalar_names_its_line(self, tmp_path, capsys, text, old, new):
         bad = text.replace(old, new)
@@ -120,11 +127,7 @@ class TestParsing:
         assert f"line {err.value.line_no}: " in capsys.readouterr().err
 
     def test_halfspace_lines(self):
-        text = INLINE.replace(
-            "kind = box\nlower = -inf 0\nupper = 4 inf",
-            "kind = halfspaces\nhalfspace = 1 0 <= 4\nhalfspace = 0 1 <= 9",
-        )
-        s = parse_scenario(text)
+        s = parse_scenario(HALFSPACES)
         assert s.regulation.kind == "halfspaces"
         assert len(s.regulation.constraints) == 2
         assert format_scenario(s).count("halfspace = ") == 2

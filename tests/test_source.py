@@ -17,3 +17,26 @@ def test_no_runtime_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _bound_names(node):
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export, so it is exempt
+    modules = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    assert modules
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            name: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name in _bound_names(node)
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
