@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .discrimination import WelfareDirection, welfare_direction_large_delta
-from .errors import NetregError, NumericalError, ValidationError
+from .errors import NetregError, NumericalError, UnsupportedRegulationError, ValidationError
 from .market import MarketPrimitives
 from .regulation import classify_limit, pareto_certificate
 from .scenario import parse_scenario
@@ -57,13 +57,17 @@ def cmd_analyze(args) -> int:
     else:
         print(f"frontier certificate: inefficient ({cert.reason})")
 
-    limit = classify_limit(prim, scenario.regulation)
-    lo, hi = limit.interval.lower, limit.interval.upper
-    print(
-        f"large-spillover class: {limit.label.value}   "
-        f"statistic interval: [{lo:.6g}, {hi:.6g}]   closest point: {limit.a_star:.6g}"
-    )
-    print(f"limit ratios: surplus {limit.limit_r_v:.6g}   profit {limit.limit_r_pi:.6g}")
+    try:
+        limit = classify_limit(prim, scenario.regulation)
+    except UnsupportedRegulationError as err:
+        print(f"large-spillover class: not determined ({err})")
+    else:
+        lo, hi = limit.interval.lower, limit.interval.upper
+        print(
+            f"large-spillover class: {limit.label.value}   "
+            f"statistic interval: [{lo:.6g}, {hi:.6g}]   closest point: {limit.a_star:.6g}"
+        )
+        print(f"limit ratios: surplus {limit.limit_r_v:.6g}   profit {limit.limit_r_pi:.6g}")
 
     try:
         if scenario.c.any():

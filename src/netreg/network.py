@@ -276,8 +276,13 @@ def parse_edge_list(text: str, n: int | None = None) -> np.ndarray:
             continue
         if len(parts) not in (2, 3):
             raise InvalidSizeError(f"edge line needs 2 or 3 fields: {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        w = float(parts[2]) if len(parts) == 3 else 1.0
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as err:
+            raise InvalidSizeError(f"edge line needs integer indices and a numeric weight: {line!r}") from err
+        if min(i, j) < 0:
+            raise InvalidSizeError(f"edge index is negative: {line!r}")  # would alias the last node
         edges.append((i, j, w))
         max_idx = max(max_idx, i, j)
     if n is None:

@@ -29,10 +29,9 @@ the maximising branch and ``t = -v`` on the minimising one.  Every
 within known multiples of v, which gives a tight starting bracket.  Newton
 steps kept inside the shrinking bracket, with bisection whenever a step
 would leave it, converge to machine precision, on the desk experiments in
-under two evaluations per root on average.  The same routine finds the
-frontier price with a given weighted average (``eta_at_average``).  A
-Ramsey cross-check recovers the same prices from the weighted objective
-``profit + eta * surplus`` through an independent dense solve.
+under two evaluations per root on average.  A Ramsey cross-check recovers
+the same prices from the weighted objective ``profit + eta * surplus``
+through an independent dense solve.
 """
 
 import math
@@ -155,6 +154,13 @@ def _rho1_coordinate(prim):
     return 1.0 + gaps / s1, q_of
 
 
+def family_deviation(prim: MarketPrimitives, t: float) -> np.ndarray:
+    """Spectral deviation ``e = -rho(t) * d_hat`` of the family price with
+    ``rho_1 = t >= -1``, in the same coordinate as the frontier root."""
+    _, q_of = _rho1_coordinate(prim)
+    return -t * q_of(t) * prim.half_gap_hat
+
+
 def _rho1_root(prim, tau, branch):
     """``v = |rho_1|`` at which ``||sqrt(b) * rho|| = sqrt(1 - tau)``, with
     ``t = v`` on the ``'plus'`` branch and ``t = -v`` on the ``'minus'`` one.
@@ -246,30 +252,6 @@ def rv_bounds(prim: MarketPrimitives, tau: float) -> tuple[float, float]:
     """
     u = solve_eta_for_tau(prim, tau, "minus")
     return _ratios_of_rho(prim, _rho_minus_u(prim, u))[0], rv_plus(prim, tau)
-
-
-def eta_at_average(prim: MarketPrimitives, theta, level: float) -> float | None:
-    """The eta in ``[0, eta_hat_plus]`` at which ``<theta, p(eta)> = level``.
-
-    For nonnegative weights the average
-    ``<theta, p_ur> - <W' theta, rho(eta) * dhat>`` falls strictly along
-    the maximising branch.  Returns None when level lies outside its range
-    on ``[0, eta_hat_plus]``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    weight = (prim.net.spectrum.eigenvectors.T @ theta) * prim.half_gap_hat
-    drop = float(theta @ unrestricted_price(prim)) - level
-    growth, q_of = _rho1_coordinate(prim)
-    t_cap = _rho1_root(prim, 0.0, "plus")
-
-    def g(t):
-        q = q_of(t)
-        return float(weight @ (t * q)) - drop, float(weight @ (q * q * growth))
-
-    if drop < 0.0 or g(t_cap)[0] < 0.0:
-        return None
-    t = _newton_root(g, 0.0, t_cap, 0.0, "average-price solve")
-    return eta_of_rho1(prim, t)
 
 
 def ramsey_price(prim: MarketPrimitives, eta_plus: float) -> np.ndarray:

@@ -27,11 +27,11 @@ raises ``InfeasibleError``.
 Efficiency analysis: an equilibrium sits on the Pareto frontier iff the
 feasible set contains a frontier-family price and stays inside the
 supporting halfspace at that price, whose normal is the positive weight
-vector ``iota(eta) = H [I - 2*delta/(2-eta) G]^-1 (a - c)``.  For the named
-kinds this reduces to knife-edge conditions checked by
-``pareto_certificate``.  In the large-spillover limit everything collapses
-onto the interval of the average-deviation statistic over the set
-(``a_interval``), whose signed position decides the trichotomy
+vector ``iota(eta) = H [I - 2*delta/(2-eta) G]^-1 (a - c)``: exactly when
+the equilibrium price is itself a family price, which one test in
+``pareto_certificate`` checks for every kind.  In the large-spillover limit
+everything collapses onto the interval of the average-deviation statistic
+over the set (``a_interval``), whose signed position decides the trichotomy
 inefficient / neutral / efficient (``classify_limit``).
 """
 
@@ -57,6 +57,7 @@ from .market import (
     half_gap,
     limit_ratios,
     ratios,
+    spectral_ratios,
     unrestricted_price,
     welfare_outcome,
 )
@@ -387,68 +388,41 @@ class Certificate:
     reason: str | None = None
 
 
-def _box_certificate(prim, k):
-    if np.any(~np.isfinite(k.upper)):
-        return Certificate(False, reason="an infinite ceiling cannot equal a frontier price")
-    w1 = eigencentrality(prim.net)
-    d1 = float(w1 @ half_gap(prim))
-    rho1 = float(w1 @ (unrestricted_price(prim) - k.upper)) / d1
-    if rho1 < 0.0:
-        return Certificate(False, reason="ceiling sits above the unrestricted price on average")
-    eta = paretomod.eta_of_rho1(prim, rho1)
-    eta_cap = paretomod.eta_hat_plus(prim)
-    if eta > eta_cap * (1.0 + 1e-9) + 1e-12:
-        return Certificate(False, reason="matching the ceiling would push profit below zero")
-    price = paretomod.pareto_price(prim, eta)
-    scale = 1e-9 * (1.0 + float(np.abs(k.upper).max()))
-    if float(np.abs(price - k.upper).max()) > scale:
-        return Certificate(False, reason="ceiling is not a frontier-family price")
-    return Certificate(True, eta=min(eta, eta_cap))
-
-
-def _average_price_certificate(prim, k):
-    eta = paretomod.eta_at_average(prim, k.theta, k.cap)
-    if eta is None:
-        return Certificate(False, reason="cap binds below the zero-profit frontier price")
-    weight = iota(prim, eta)
-    if corr(k.theta, weight) < 1.0 - PROPORTIONALITY_TOL:
-        return Certificate(False, reason="weights are not proportional to the supporting normal")
-    if abs(float(k.theta @ paretomod.pareto_price(prim, eta)) - k.cap) > 1e-9 * (1.0 + abs(k.cap)):
-        return Certificate(False, reason="no frontier price meets the cap exactly")
-    return Certificate(True, eta=eta)
-
-
 def pareto_certificate(prim: MarketPrimitives, k: RegulationSet) -> Certificate:
     """Decide whether the equilibrium outcome lies on the Pareto frontier.
 
-    A non-binding regulation (unrestricted price feasible) is efficient
-    with ``eta = 0``, the top frontier corner.  Otherwise the named kinds
-    reduce to knife-edge conditions: a box must have its ceiling equal to a
-    frontier-family price; an average-price cap must have weights
-    proportional to the supporting normal and bind exactly at the matching
-    frontier price; difference caps and uniform pricing never qualify
-    because the overall price level stays free.  Generic halfspace lists
-    support falsification only.
+    One test serves every kind.  A non-binding regulation (unrestricted
+    price feasible) is efficient with ``eta = 0``, the top frontier corner.
+    A binding set that stays open along a nonnegative direction (all prices
+    together, or one market's alone) is inefficient, since the supporting
+    normal ``iota`` is positive.  Otherwise the equilibrium price p* must be
+    the family price with the same first spectral coordinate
+    ``t = rho_1 = -A(p*) >= 0``, at nonnegative profit; ``eta`` is that
+    price's parameter.  Prices match within ``MEMBERSHIP_TOL`` widened by
+    ``64*eps / (1 - delta*lambda_1)``, the accuracy of a raw H product that
+    a knife-edge set built from ``iota`` inherits, times ``1 + max|p*|``.
     """
-    if contains(prim, k, unrestricted_price(prim)):
+    pur = unrestricted_price(prim)
+    if contains(prim, k, pur):
         return Certificate(True, eta=0.0)
-    if isinstance(k, (Uniform, PriceDifference)):
-        return Certificate(
-            False, reason="price level is unconstrained, so no supporting halfspace contains the set"
-        )
-    if isinstance(k, Box):
-        return _box_certificate(prim, k)
-    if isinstance(k, AveragePrice):
-        return _average_price_certificate(prim, k)
-    if isinstance(k, Halfspaces):
-        # falsification only: exhibit a positive frontier gap if there is one
-        g = gap(prim, k)
-        if g > 1e-8:
-            return Certificate(False, reason=f"equilibrium sits {g:.3g} below the frontier")
-        raise UnsupportedRegulationError(
-            "cannot certify efficiency for a generic halfspace set; gap is within tolerance"
-        )
-    raise UnsupportedRegulationError(f"no certificate rule for kind {k.kind!r}")
+    rises = isinstance(k, Uniform)  # no halfspace form; its level is free
+    if not rises:
+        vmat, _ = halfspace_form(k, prim.n)
+        rises = bool(np.any(np.all(vmat <= 0.0, axis=0)) or np.all(vmat.sum(axis=1) <= 0.0))
+    if rises:
+        return Certificate(False, reason="prices rise freely, so the set leaves every supporting halfspace")
+    p_star = project(prim, k)
+    e = prim.net.spectrum.eigenvectors.T @ (p_star - pur)
+    t = -float(e[0]) / float(prim.half_gap_hat[0])
+    if t < 0.0:
+        return Certificate(False, reason="equilibrium sits above the unrestricted price on average")
+    if spectral_ratios(prim, e)[1] < -1e-12:
+        return Certificate(False, reason="equilibrium profit is negative, past the frontier's end")
+    tol = MEMBERSHIP_TOL + 64.0 * np.finfo(float).eps / (1.0 - prim.delta * prim.net.lambda1)
+    miss = float(np.linalg.norm(e - paretomod.family_deviation(prim, t)))
+    if miss > tol * (1.0 + float(np.abs(p_star).max())):
+        return Certificate(False, reason=f"equilibrium price is {miss:.3g} from the frontier family")
+    return Certificate(True, eta=paretomod.eta_of_rho1(prim, t))
 
 
 @dataclass(frozen=True)
@@ -528,8 +502,12 @@ def classify_limit(prim: MarketPrimitives, k: RegulationSet) -> LimitClassificat
     zero; its sign decides the label and the limit ratios follow the
     one-dimensional formulas.  Interval endpoints within 1e-12 of zero
     count as touching (the trichotomy is a sign pattern, not a band).
+    Raises ``UnsupportedRegulationError`` when the interval is not exact,
+    since a label read from it may be wrong.
     """
     interval = a_interval(prim, k)
+    if not interval.exact:
+        raise UnsupportedRegulationError(f"no exact statistic interval for kind {k.kind!r}")
     if interval.lower > 1e-12:
         label, a_star = Classification.PARETO_INEFFICIENT, interval.lower
     elif interval.upper < -1e-12:

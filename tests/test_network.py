@@ -329,6 +329,11 @@ class TestTextFormats:
         assert g[1, 2] == 0.5
         assert g.shape == (3, 3)
 
+    @pytest.mark.parametrize("line", ["-1 1", "1.5 2", "x 1", "0 2 heavy"])
+    def test_edge_list_bad_line_named(self, line):
+        with pytest.raises(netreg.InvalidSizeError, match=line):
+            parse_edge_list(f"0 1\n1 2\n{line}\n")
+
     def test_parse_dense_golden(self):
         g = parse_dense("0 1\n1 0\n")
         assert np.array_equal(g, [[0.0, 1.0], [1.0, 0.0]])

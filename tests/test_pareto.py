@@ -3,7 +3,7 @@ import pytest
 
 import netreg
 from netreg.market import delta_near_bound, half_gap, quad_form_h
-from netreg.pareto import _rho_minus_u, _rho_plus, eta_at_average, eta_max
+from netreg.pareto import _rho_minus_u, _rho_plus, eta_max
 
 from conftest import random_connected_network, random_primitives
 
@@ -130,27 +130,6 @@ class TestRvBounds:
         assert all(b <= a + 1e-10 for a, b in zip(highs, highs[1:]))
         assert all(b >= a - 1e-10 for a, b in zip(lows, lows[1:]))
         assert all(lo <= 1.0 + 1e-12 <= hi + 1e-12 for lo, hi in zip(lows, highs))
-
-
-class TestEtaAtAverage:
-    def test_round_trip(self, rng):
-        for _ in range(5):
-            n = int(rng.integers(2, 9))
-            prim = random_primitives(rng, random_connected_network(rng, n))
-            theta = rng.uniform(0.1, 1.0, n)
-            theta /= theta.sum()
-            eta = rng.uniform(0.05, 0.95) * netreg.eta_hat_plus(prim)
-            level = float(theta @ netreg.pareto_price(prim, eta))
-            assert eta_at_average(prim, theta, level) == pytest.approx(eta, rel=1e-12)
-
-    def test_outside_the_branch(self, rng):
-        prim = random_primitives(rng, random_connected_network(rng, 5))
-        theta = np.full(5, 0.2)
-        top = float(theta @ netreg.unrestricted_price(prim))
-        bottom = float(theta @ netreg.pareto_price(prim, netreg.eta_hat_plus(prim)))
-        assert eta_at_average(prim, theta, top) == 0.0
-        assert eta_at_average(prim, theta, top + 1e-6) is None
-        assert eta_at_average(prim, theta, bottom - 1e-6) is None
 
 
 class TestRamsey:

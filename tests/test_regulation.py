@@ -327,16 +327,17 @@ class TestCertificates:
         cert = netreg.pareto_certificate(prim, reg)
         assert cert.efficient and cert.eta == 0.0
 
-    def test_box_round_trip(self, rng):
+    @pytest.mark.parametrize("delta_fraction", [None, 1.0 - 1e-6], ids=["random", "near_bound"])
+    def test_box_round_trip(self, rng, delta_fraction):
         for _ in range(5):
             net = random_connected_network(rng, int(rng.integers(2, 8)))
-            prim = random_primitives(rng, net)
+            prim = random_primitives(rng, net, delta_fraction=delta_fraction)
             eta = 0.5 * netreg.eta_hat_plus(prim)
             ceiling = netreg.pareto_price(prim, eta)
             reg = netreg.Box(lower=np.full(net.n, -np.inf), upper=ceiling)
             cert = netreg.pareto_certificate(prim, reg)
             assert cert.efficient
-            assert cert.eta == pytest.approx(eta, rel=1e-6)
+            assert cert.eta == pytest.approx(eta, rel=1e-9)
 
     def test_box_generic_inefficient(self, rng):
         net = random_connected_network(rng, 5)
@@ -345,10 +346,11 @@ class TestCertificates:
         reg = netreg.Box(lower=np.full(5, -np.inf), upper=pur - rng.uniform(0.1, 1.0, 5))
         assert not netreg.pareto_certificate(prim, reg).efficient
 
-    def test_average_price_round_trip(self, rng):
+    @pytest.mark.parametrize("delta_fraction", [None, 1.0 - 1e-6], ids=["random", "near_bound"])
+    def test_average_price_round_trip(self, rng, delta_fraction):
         for _ in range(5):
             net = random_connected_network(rng, int(rng.integers(2, 8)))
-            prim = random_primitives(rng, net)
+            prim = random_primitives(rng, net, delta_fraction=delta_fraction)
             eta = 0.4 * netreg.eta_hat_plus(prim)
             weight = netreg.iota(prim, eta)
             theta = weight / weight.sum()
@@ -356,7 +358,7 @@ class TestCertificates:
             reg = netreg.AveragePrice(theta=theta, cap=cap)
             cert = netreg.pareto_certificate(prim, reg)
             assert cert.efficient
-            assert cert.eta == pytest.approx(eta, rel=1e-6)
+            assert cert.eta == pytest.approx(eta, rel=1e-9)
 
     def test_average_price_generic_inefficient(self, rng):
         net = random_connected_network(rng, 6)
@@ -376,16 +378,42 @@ class TestCertificates:
         assert not cert.efficient
 
     def test_halfspaces_cannot_certify_supporting_plane(self, rng):
-        # the supporting halfspace itself gives a zero gap, which the
-        # falsification-only path must refuse to certify
+        # the supporting halfspace itself projects the unrestricted price
+        # onto the frontier price it supports, so it is certified efficient
         net = random_connected_network(rng, 5)
         prim = random_primitives(rng, net)
         eta = 0.5 * netreg.eta_hat_plus(prim)
         weight = netreg.iota(prim, eta)
         offset = float(weight @ netreg.pareto_price(prim, eta))
         supporting = netreg.Halfspaces(constraints=((weight, offset),))
-        with pytest.raises(netreg.UnsupportedRegulationError):
-            netreg.pareto_certificate(prim, supporting)
+        cert = netreg.pareto_certificate(prim, supporting)
+        assert cert.efficient
+        assert cert.eta == pytest.approx(eta, rel=1e-9)
+
+    def test_box_and_its_halfspaces_agree(self, rng):
+        net = random_connected_network(rng, 5)
+        prim = random_primitives(rng, net)
+        knife_edge = netreg.Box(
+            lower=np.full(5, -np.inf), upper=netreg.pareto_price(prim, 0.5 * netreg.eta_hat_plus(prim))
+        )
+        pair = netreg.gen_complete(2)
+        ceiling = netreg.MarketPrimitives(net=pair, a=np.full(2, 10.0), c=np.zeros(2), delta=0.5)
+        cases = (
+            (prim, knife_edge),
+            (prim, random_box(rng, prim)),
+            (ceiling, netreg.Box(lower=np.full(2, -np.inf), upper=np.ones(2))),
+        )
+        verdicts = []
+        for case, box in cases:
+            vmat, offsets = halfspace_form(box, case.n)
+            as_box = netreg.pareto_certificate(case, box)
+            as_rows = netreg.pareto_certificate(case, netreg.Halfspaces(constraints=tuple(zip(vmat, offsets))))
+            assert as_rows.efficient == as_box.efficient
+            if as_box.efficient:
+                assert as_rows.eta == pytest.approx(as_box.eta, rel=1e-12)
+            verdicts.append(as_box.efficient)
+        assert verdicts == [True, False, True]
+        assert netreg.pareto_certificate(*cases[2]).eta == pytest.approx(4.0 / 9.0, rel=1e-12)
 
 
 class TestAInterval:
@@ -470,6 +498,18 @@ class TestClassifyLimit:
         assert lc.label is Classification.PARETO_EFFICIENT
         assert lc.a_star < 0.0
         assert lc.limit_r_v > 1.0 and lc.limit_r_pi < 1.0
+
+    def test_inexact_interval_is_not_labelled(self):
+        # a ceiling on each of two markets: exact as a box, but its
+        # halfspace faces are not parallel to w1
+        prim = netreg.MarketPrimitives(net=netreg.gen_complete(2), a=np.full(2, 10.0), c=np.zeros(2), delta=0.5)
+        box = netreg.Box(lower=np.full(2, -np.inf), upper=np.ones(2))
+        lc = netreg.classify_limit(prim, box)
+        assert lc.label is Classification.PARETO_EFFICIENT
+        assert lc.a_star == pytest.approx(-0.8, rel=1e-12)
+        rows = netreg.Halfspaces(constraints=((np.eye(2)[0], 1.0), (np.eye(2)[1], 1.0)))
+        with pytest.raises(netreg.UnsupportedRegulationError, match="halfspaces"):
+            netreg.classify_limit(prim, rows)
 
     def test_equilibrium_statistic_converges(self, rng):
         # the equilibrium statistic approaches the interval point closest to zero

@@ -345,6 +345,15 @@ class TestCli:
         assert main(["analyze", str(scen)]) == 0
         assert "not applicable (marginal costs are nonzero)" in capsys.readouterr().out
 
+    def test_analyze_inexact_interval(self, tmp_path, capsys):
+        # two one-market ceilings as halfspaces: no exact statistic interval
+        scen = tmp_path / "rows.scn"
+        scen.write_text(HALFSPACES)
+        assert main(["analyze", str(scen)]) == 0
+        out = capsys.readouterr().out
+        assert "large-spillover class: not determined (no exact statistic interval" in out
+        assert "limit ratios" not in out
+
     def test_validation_exit_code(self, tmp_path, capsys):
         scen = tmp_path / "bad.scn"
         scen.write_text(CP_UNIFORM.replace("max_fraction = 0.999", "max_fraction = 2.0"))

@@ -40,3 +40,22 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    # a module-level private function that nothing in the package names is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert trees
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unreferenced = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and node.name not in named
+    ]
+    assert unreferenced == []
