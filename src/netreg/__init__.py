@@ -43,16 +43,12 @@ from .network import (
     corr,
     demean,
     eigencentrality,
-    format_dense,
-    format_edge_list,
     gen_complete,
     gen_complete_bipartite,
     gen_core_periphery,
     h_apply,
     is_regular,
     katz_bonacich,
-    parse_dense,
-    parse_edge_list,
 )
 from .market import (
     MarketPrimitives,

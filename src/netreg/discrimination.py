@@ -34,7 +34,7 @@ from .errors import (
     UnverifiedPartitionError,
 )
 from .market import MarketPrimitives, ratios, unrestricted_price
-from .network import Network, demean, eigencentrality, h_apply, is_regular
+from .network import Network, corr, demean, eigencentrality, h_apply, is_regular
 from .regulation import uniform_price
 
 CONSTANCY_TOL = 1e-8
@@ -128,8 +128,7 @@ def welfare_direction_large_delta(net: Network, a) -> WelfareDirection:
     """Sign of ``corr(psi, a)``: who wins from a ban under strong spillovers."""
     a = np.asarray(a, dtype=float)
     _require_ban_assumptions(net, a, None)
-    vec = psi(net).psi
-    value = float(vec @ a) / (float(np.linalg.norm(vec)) * float(np.linalg.norm(a)))
+    value = corr(psi(net).psi, a)
     if value > 1e-10:
         return WelfareDirection.CONSUMERS_GAIN
     if value < -1e-10:

@@ -103,7 +103,7 @@ def build_network(adjacency) -> Network:
     """Validate an adjacency matrix and return a Network with its spectrum.
 
     The matrix must be square and finite, symmetric within ``SYMMETRY_TOL``
-    (it is then symmetrised by averaging, so text-format round-trips are
+    (it is then symmetrised by averaging, so scenario-text round-trips are
     tolerated), elementwise nonnegative with a zero diagonal, and connected.
 
     Raises
@@ -242,68 +242,3 @@ def corr(z, z2) -> float:
     if nz == 0.0 or nz2 == 0.0:
         raise ZeroVectorError("correlation undefined for a zero vector")
     return float(z @ z2 / (nz * nz2))
-
-
-# -- adjacency text formats -------------------------------------------------
-#
-# Dense: one whitespace-separated row per line.
-# Edge list: lines "i j [weight]" with 0-based indices, default weight 1.
-
-
-def parse_dense(text: str) -> np.ndarray:
-    rows = [line.split() for line in text.strip().splitlines() if line.strip()]
-    if not rows:
-        raise InvalidSizeError("empty adjacency text")
-    try:
-        mat = np.array([[float(x) for x in row] for row in rows])
-    except ValueError as err:
-        raise NotSymmetricError(f"bad matrix entry: {err}") from err
-    return mat
-
-
-def format_dense(matrix) -> str:
-    matrix = np.asarray(matrix, dtype=float)
-    lines = [" ".join(f"{x:.17g}" for x in row) for row in matrix]
-    return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(text: str, n: int | None = None) -> np.ndarray:
-    edges = []
-    max_idx = -1
-    for line in text.strip().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) not in (2, 3):
-            raise InvalidSizeError(f"edge line needs 2 or 3 fields: {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as err:
-            raise InvalidSizeError(f"edge line needs integer indices and a numeric weight: {line!r}") from err
-        if min(i, j) < 0:
-            raise InvalidSizeError(f"edge index is negative: {line!r}")  # would alias the last node
-        edges.append((i, j, w))
-        max_idx = max(max_idx, i, j)
-    if n is None:
-        n = max_idx + 1
-    if n <= 0:
-        raise InvalidSizeError("edge list defines no nodes")
-    if max_idx >= n:
-        raise InvalidSizeError(f"edge index {max_idx} outside 0..{n - 1}")
-    g = np.zeros((n, n))
-    for i, j, w in edges:
-        g[i, j] = w
-        g[j, i] = w
-    return g
-
-
-def format_edge_list(matrix) -> str:
-    matrix = np.asarray(matrix, dtype=float)
-    lines = []
-    n = matrix.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i, j] != 0.0:
-                lines.append(f"{i} {j} {matrix[i, j]:.17g}")
-    return "\n".join(lines) + "\n"

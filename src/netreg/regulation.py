@@ -61,7 +61,7 @@ from .market import (
     unrestricted_price,
     welfare_outcome,
 )
-from .network import corr, eigencentrality, h_apply
+from .network import eigencentrality, h_apply
 
 ACTIVE_SET_TOL = 1e-12
 ACTIVE_SET_STEPS_PER_HALFSPACE = 10
@@ -239,10 +239,10 @@ def _check_dim(got, n):
         raise DimensionMismatchError(f"regulation dimension {got} vs n={n}")
 
 
-def contains(prim: MarketPrimitives, k: RegulationSet, p, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership test with a scale-relative slack."""
+def contains(prim: MarketPrimitives, k: RegulationSet, p) -> bool:
+    """Membership test with a ``MEMBERSHIP_TOL`` slack relative to ``1 + max|p|``."""
     p = np.asarray(p, dtype=float)
-    scale = tol * (1.0 + float(np.abs(p).max()))
+    scale = MEMBERSHIP_TOL * (1.0 + float(np.abs(p).max()))
     if isinstance(k, Unrestricted):
         return True
     if isinstance(k, Uniform):
@@ -262,13 +262,20 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
     p becomes tight or where an active multiplier reaches zero, which drops
     that face.  If ``z = 0`` (v_p is a combination of active normals) and
     no multiplier can reach zero, no point satisfies p together with the
-    active faces: the set is empty.
+    active faces, unless p's violation is drift off those faces: the set is
+    empty if p is still violated after a step back onto them.
     """
     hv = vmat.T - prim.delta * (prim.net.adjacency @ vmat.T)  # Hinv V', one column per halfspace
     curvature = np.einsum("kn,nk->k", vmat, hv)  # v' Hinv v > 0
     tol = ACTIVE_SET_TOL * (1.0 + float(np.abs(q).max())) * np.abs(vmat).sum(axis=1)
     x = q.copy()
     active, mu, gram = [], np.zeros(0), np.zeros((0, 0))
+
+    def refined(x):
+        # one step back onto the active faces, which the steps drift off
+        # when the Gram system is ill-conditioned
+        return x - hv[:, active] @ np.linalg.solve(gram, vmat[active] @ x - offsets[active])
+
     p = None
     for _ in range(ACTIVE_SET_STEPS_PER_HALFSPACE * offsets.shape[0]):
         if p is None:
@@ -276,9 +283,7 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
             violation[active] = -np.inf
             p = int(np.argmax(violation))
             if violation[p] <= 0.0:
-                # one refinement step back onto the active faces, which the
-                # steps drift off when the Gram system is ill-conditioned
-                return x - hv[:, active] @ np.linalg.solve(gram, vmat[active] @ x - offsets[active])
+                return refined(x)
             mu_p = 0.0
         cross = vmat[active] @ hv[:, p]
         r = np.linalg.solve(gram, cross)
@@ -291,7 +296,13 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
         np.divide(mu, r, out=ratio, where=r > 0.0)
         step = min(full, ratio.min(initial=np.inf))
         if step == np.inf:
-            raise InfeasibleError("feasible set is empty: a violated halfspace contradicts the binding ones")
+            # near the spectral bound the violation may be drift off the
+            # active faces; the set is empty only if it outlasts refinement
+            x = refined(x)
+            if float(vmat[p] @ x) - offsets[p] > tol[p]:
+                raise InfeasibleError("feasible set is empty: a violated halfspace contradicts the binding ones")
+            p = None
+            continue
         if full < np.inf:
             x = x - step * z
         mu = mu - step * r
@@ -429,8 +440,8 @@ def pareto_certificate(prim: MarketPrimitives, k: RegulationSet) -> Certificate:
 class AStatInterval:
     """Closed interval of the average-deviation statistic over a set.
 
-    ``exact`` is False when the bounds come from the limited per-halfspace
-    analysis of a generic halfspace list rather than a closed form.
+    ``exact`` is False when two or more faces of a halfspace list are not
+    parallel to the eigencentrality, so the bounds may be too wide.
     """
 
     lower: float
@@ -460,14 +471,7 @@ def a_interval(prim: MarketPrimitives, k: RegulationSet) -> AStatInterval:
         lo = -np.inf if np.any(np.isneginf(k.lower)) else stat_of_avg(float(w1 @ k.lower))
         hi = np.inf if np.any(np.isposinf(k.upper)) else stat_of_avg(float(w1 @ k.upper))
         return AStatInterval(lo, hi)
-    if isinstance(k, AveragePrice):
-        _check_dim(k.theta.shape[0], prim.n)
-        if corr(k.theta, w1) >= 1.0 - PROPORTIONALITY_TOL:
-            # theta = w1 / <w1, 1>: the cap bounds the w1-average from above
-            hi = stat_of_avg(k.cap * float(w1.sum()))
-            return AStatInterval(-np.inf, hi)
-        return AStatInterval(-np.inf, np.inf)
-    if isinstance(k, Halfspaces):
+    if isinstance(k, (AveragePrice, Halfspaces)):
         vmat, offsets = halfspace_form(k, prim.n)
         norms = np.linalg.norm(vmat, axis=1)
         align = (vmat @ w1) / norms  # w1 is unit, so these are cosines
@@ -475,8 +479,8 @@ def a_interval(prim: MarketPrimitives, k: RegulationSet) -> AStatInterval:
         lower = align <= -1.0 + PROPORTIONALITY_TOL
         hi = stat_of_avg(float(np.min(offsets[upper] / norms[upper], initial=np.inf)))
         lo = stat_of_avg(float(np.max(-offsets[lower] / norms[lower], initial=-np.inf)))
-        # any other face may bind the statistic; the bounds then stay approximate
-        return AStatInterval(lo, hi, exact=bool(np.all(upper | lower)))
+        # one other face leaves every level feasible on the hyperplane; two may bind it
+        return AStatInterval(lo, hi, exact=bool(np.count_nonzero(~(upper | lower)) <= 1))
     raise UnsupportedRegulationError(f"no interval rule for kind {k.kind!r}")
 
 

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 import netreg
-from netreg.network import (
-    DEGREE_TOL,
-    _connected,
-    _orient_columns,
-    format_dense,
-    format_edge_list,
-    parse_dense,
-    parse_edge_list,
-)
+from netreg.network import DEGREE_TOL, _connected, _orient_columns
 
 from conftest import random_connected_network
 
@@ -309,31 +301,3 @@ class TestVectorHelpers:
         with pytest.raises(netreg.ZeroVectorError):
             netreg.corr(np.zeros(3), np.ones(3))
 
-
-class TestTextFormats:
-    def test_dense_round_trip(self, rng):
-        net = random_connected_network(rng, 7, weighted=True)
-        g = np.asarray(net.adjacency)
-        again = parse_dense(format_dense(g))
-        assert np.array_equal(again, g)
-
-    def test_edge_list_round_trip(self, rng):
-        net = random_connected_network(rng, 7, weighted=True)
-        g = np.asarray(net.adjacency)
-        again = parse_edge_list(format_edge_list(g), n=7)
-        assert np.array_equal(again, g)
-
-    def test_edge_list_default_weight(self):
-        g = parse_edge_list("0 1\n1 2 0.5\n")
-        assert g[0, 1] == 1.0
-        assert g[1, 2] == 0.5
-        assert g.shape == (3, 3)
-
-    @pytest.mark.parametrize("line", ["-1 1", "1.5 2", "x 1", "0 2 heavy"])
-    def test_edge_list_bad_line_named(self, line):
-        with pytest.raises(netreg.InvalidSizeError, match=line):
-            parse_edge_list(f"0 1\n1 2\n{line}\n")
-
-    def test_parse_dense_golden(self):
-        g = parse_dense("0 1\n1 0\n")
-        assert np.array_equal(g, [[0.0, 1.0], [1.0, 0.0]])

@@ -259,6 +259,18 @@ class TestProjectionOracle:
                 netreg.project(prim, empty)
             assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("width", [0.0, 1e-13, 1e-12, 1e-10])
+    def test_thin_box_near_bound_is_not_empty(self, width):
+        # near the bound the steps drift off the binding faces by more than
+        # the width; the set is decided empty only after refinement
+        net = netreg.gen_core_periphery(3, 2)
+        prim = netreg.MarketPrimitives(net=net, a=np.linspace(10.0, 20.0, 9), c=np.zeros(9), delta=(1 - 1e-6) / net.lambda1)
+        pur = netreg.unrestricted_price(prim)
+        box = netreg.Box(lower=pur - 1.0 - width, upper=pur - 1.0)
+        vmat, offsets = halfspace_form(box, 9)
+        for reg in (box, netreg.Halfspaces(constraints=tuple(zip(vmat, offsets)))):
+            assert netreg.regulation.contains(prim, reg, netreg.project(prim, reg))
+
 
 class TestEquilibriumOutcome:
     def test_unrestricted(self, rng):
@@ -466,8 +478,12 @@ class TestAInterval:
         assert interval.upper == pytest.approx(1.0 / float(w1 @ half_gap(prim)), rel=1e-9)
         with_open_face = netreg.Halfspaces(constraints=reg.constraints + ((np.eye(4)[0], np.inf),))
         assert netreg.a_interval(prim, with_open_face) == interval
-        generic = netreg.Halfspaces(constraints=((np.eye(4)[0], 3.0),))
-        assert not netreg.a_interval(prim, generic).exact
+        # one face not parallel to w1 leaves every level of the statistic feasible
+        one_generic = netreg.a_interval(prim, netreg.Halfspaces(constraints=((np.eye(4)[0], 3.0),)))
+        assert one_generic.exact
+        assert (one_generic.lower, one_generic.upper) == (-np.inf, np.inf)
+        ceilings = netreg.Halfspaces(constraints=((np.eye(4)[0], 3.0), (np.eye(4)[1], 3.0)))
+        assert not netreg.a_interval(prim, ceilings).exact
 
 
 class TestClassifyLimit:
@@ -498,6 +514,18 @@ class TestClassifyLimit:
         assert lc.label is Classification.PARETO_EFFICIENT
         assert lc.a_star < 0.0
         assert lc.limit_r_v > 1.0 and lc.limit_r_pi < 1.0
+
+    def test_aligned_cap_with_one_generic_face_is_labelled(self):
+        # <w1, p> <= sqrt(2) plus a ceiling on market 0; the ceiling cannot
+        # bind the statistic, so the cap alone decides it, as for the box below
+        prim = netreg.MarketPrimitives(net=netreg.gen_complete(2), a=np.full(2, 10.0), c=np.zeros(2), delta=0.5)
+        rows = netreg.Halfspaces(constraints=((np.ones(2), 2.0), (np.eye(2)[0], 1.0)))
+        lc = netreg.classify_limit(prim, rows)
+        assert lc.label is Classification.PARETO_EFFICIENT
+        assert lc.interval.lower == -np.inf
+        assert lc.a_star == pytest.approx(-0.8, rel=1e-12)
+        capped = netreg.classify_limit(prim, netreg.AveragePrice(theta=np.full(2, 0.5), cap=1.0))
+        assert capped.a_star == pytest.approx(lc.a_star, rel=1e-12)
 
     def test_inexact_interval_is_not_labelled(self):
         # a ceiling on each of two markets: exact as a box, but its
