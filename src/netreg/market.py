@@ -95,6 +95,14 @@ class MarketPrimitives:
         h.setflags(write=False)
         return h
 
+    @cached_property
+    def projections(self) -> dict:
+        """Memo of ``regulation.project``: the read-only regulated price of
+        each regulation, keyed by the regulation object (by identity for the
+        array-holding kinds, by value for ``Uniform`` and ``Unrestricted``).
+        It lives and dies with these primitives."""
+        return {}
+
 
 @dataclass(frozen=True, eq=False)
 class WelfareOutcome:

@@ -21,8 +21,12 @@ Goldfarb-Idnani dual active-set method in the H metric, which needs only
 ``Hinv = I - delta*G`` explicitly.  It is finite: it adds the most
 violated halfspace, drops faces whose multipliers reach zero, and stops
 once no halfspace is violated by more than
-``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  An empty feasible set
-raises ``InfeasibleError``.
+``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  It keeps the inverse of
+the active Gram matrix by bordering and downdating, and solves a linear
+system once, in the final step back onto the binding faces.  An empty
+feasible set raises ``InfeasibleError``.  ``project`` memoises its price
+per ``(prim, k)`` on the primitives and returns it read-only, so the
+outcome, the gap and the certificate of one set share one projection.
 
 Efficiency analysis: an equilibrium sits on the Pareto frontier iff the
 feasible set contains a frontier-family price and stays inside the
@@ -260,68 +264,118 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
     solves the active Gram system ``V_A Hinv V_A' r = V_A Hinv v_p``, and
     the multipliers move by ``-t r`` (``+t`` for p).  The step stops where
     p becomes tight or where an active multiplier reaches zero, which drops
-    that face.  If ``z = 0`` (v_p is a combination of active normals) and
-    no multiplier can reach zero, no point satisfies p together with the
-    active faces, unless p's violation is drift off those faces: the set is
-    empty if p is still violated after a step back onto them.
+    that face.  Once the active normals span R^n no face is admitted, since
+    v_p is then a combination of them.  If ``z = 0`` and no multiplier can
+    reach zero, no point satisfies p together with the active faces, unless
+    p's violation is drift off those faces: the set is empty if p is still
+    violated after a step back onto them.
+
+    The Gram system is not solved inside the loop.  Its inverse ``B`` is
+    kept instead, at O(k^2) per step for k active faces (Golub & Van Loan,
+    the block-inverse formula): bordered on each add by the Schur
+    complement ``v_p' z``, and downdated on each drop by
+    ``B[-j, -j] - b b' / B[j, j]``.  Near the spectral bound ``B`` drifts,
+    so ``r = B V_A Hinv v_p`` takes one step of iterative refinement, whose
+    residual is ``V_A z`` (zero for an exact ``r``).  ``Hinv v`` is formed
+    only for the row being added.  The one solve, with the Gram matrix
+    formed from the active rows, is the step back onto the active faces at
+    the end; its result is returned only if no other row is violated there,
+    and otherwise the method goes on from it.
     """
-    hv = vmat.T - prim.delta * (prim.net.adjacency @ vmat.T)  # Hinv V', one column per halfspace
-    curvature = np.einsum("kn,nk->k", vmat, hv)  # v' Hinv v > 0
-    tol = ACTIVE_SET_TOL * (1.0 + float(np.abs(q).max())) * np.abs(vmat).sum(axis=1)
+    n = q.shape[0]
+    bound = offsets + ACTIVE_SET_TOL * (1.0 + float(np.abs(q).max())) * np.abs(vmat).sum(axis=1)
     x = q.copy()
-    active, mu, gram = [], np.zeros(0), np.zeros((0, 0))
+    active = []
+    # the first k entries hold the k active faces: their multipliers, v and
+    # Hinv v as rows, and B as the leading k-by-k block
+    mu, face, hface, inv = np.empty(n), np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
 
     def refined(x):
-        # one step back onto the active faces, which the steps drift off
-        # when the Gram system is ill-conditioned
-        return x - hv[:, active] @ np.linalg.solve(gram, vmat[active] @ x - offsets[active])
+        # a step back onto the active faces, which the steps drift off when
+        # the Gram system is ill-conditioned; a second one if the first
+        # leaves a face violated
+        k = len(active)
+        if k == 0:
+            return x
+        rows, hrows = face[:k], hface[:k]
+        gram = rows @ hrows.T
+        x = x - np.linalg.solve(gram, rows @ x - offsets[active]) @ hrows
+        if np.any(rows @ x > bound[active]):
+            x = x - np.linalg.solve(gram, rows @ x - offsets[active]) @ hrows
+        return x
 
-    p = None
+    def most_violated(x):
+        violation = vmat @ x - bound
+        violation[active] = -np.inf
+        p = int(np.argmax(violation))
+        return p, violation[p] > 0.0
+
+    p, fresh = None, True
     for _ in range(ACTIVE_SET_STEPS_PER_HALFSPACE * offsets.shape[0]):
         if p is None:
-            violation = vmat @ x - offsets - tol
-            violation[active] = -np.inf
-            p = int(np.argmax(violation))
-            if violation[p] <= 0.0:
-                return refined(x)
+            p, violated = most_violated(x)
+            if not violated:
+                x = refined(x)
+                p, violated = most_violated(x)
+                if not violated:
+                    return x
+            v_p = vmat[p]
+            hv_p = v_p - prim.delta * (prim.net.adjacency @ v_p)
+            curvature = float(v_p @ hv_p)  # v' Hinv v > 0
             mu_p = 0.0
-        cross = vmat[active] @ hv[:, p]
-        r = np.linalg.solve(gram, cross)
-        z = hv[:, p] - hv[:, active] @ r
-        along = float(vmat[p] @ z)  # z' H z: zero when v_p is a combination of active normals
+        k = len(active)
+        b_inv, rows, hrows, mu_a = inv[:k, :k], face[:k], hface[:k], mu[:k]
+        r = b_inv @ (rows @ hv_p)
+        z = hv_p - r @ hrows
+        correction = b_inv @ (rows @ z)  # one refinement step
+        r += correction
+        z -= correction @ hrows
+        along = float(v_p @ z)  # z' H z: zero when v_p is a combination of active normals
         full = np.inf
-        if along > ACTIVE_SET_TOL * curvature[p]:
-            full = (float(vmat[p] @ x) - offsets[p]) / along
-        ratio = np.full(len(active), np.inf)
-        np.divide(mu, r, out=ratio, where=r > 0.0)
+        if k < n and along > ACTIVE_SET_TOL * curvature:
+            full = (float(v_p @ x) - offsets[p]) / along
+        ratio = np.full(k, np.inf)
+        with np.errstate(over="ignore"):  # a tiny r sets no limit: inf
+            np.divide(mu_a, r, out=ratio, where=r > 0.0)
         step = min(full, ratio.min(initial=np.inf))
         if step == np.inf:
+            if not fresh:
+                # decide emptiness only on an r from a fresh inverse, since
+                # B drifts near the spectral bound
+                inv[:k, :k] = np.linalg.solve(rows @ hrows.T, np.eye(k))
+                fresh = True
+                continue
             # near the spectral bound the violation may be drift off the
             # active faces; the set is empty only if it outlasts refinement
             x = refined(x)
-            if float(vmat[p] @ x) - offsets[p] > tol[p]:
+            if float(v_p @ x) - bound[p] > 0.0:
                 raise InfeasibleError("feasible set is empty: a violated halfspace contradicts the binding ones")
             p = None
             continue
         if full < np.inf:
             x = x - step * z
-        mu = mu - step * r
+        mu_a -= step * r
         mu_p += step
+        fresh = False
         if step == full:
+            # border B with the Schur complement `along`
+            b_inv += np.multiply.outer(r, r / along)
+            inv[:k, k] = inv[k, :k] = -r / along
+            inv[k, k] = 1.0 / along
+            mu[k], face[k], hface[k] = mu_p, v_p, hv_p
             active.append(p)
-            mu = np.append(mu, mu_p)
-            size = gram.shape[0]
-            grown = np.empty((size + 1, size + 1))
-            grown[:size, :size] = gram
-            grown[:size, size] = grown[size, :size] = cross
-            grown[size, size] = curvature[p]
-            gram = grown
             p = None
         else:
+            # drop face j and downdate B
             j = int(np.argmin(ratio))
+            b = np.delete(inv[:k, j], j)
+            pivot = inv[j, j]
+            inv[j : k - 1, :k] = inv[j + 1 : k, :k]
+            inv[: k - 1, j : k - 1] = inv[: k - 1, j + 1 : k]
+            inv[: k - 1, : k - 1] -= np.multiply.outer(b, b / pivot)
+            for buf in (mu, face, hface):
+                buf[j : k - 1] = buf[j + 1 : k]
             del active[j]
-            mu = np.delete(mu, j)
-            gram = np.delete(np.delete(gram, j, axis=0), j, axis=1)
     raise NoConvergenceError(
         f"active-set projection took more than {ACTIVE_SET_STEPS_PER_HALFSPACE} steps per halfspace "
         f"(cycling from rounding)"
@@ -345,7 +399,20 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     method over ``halfspace_form(k)``; it returns once no halfspace is
     violated by more than ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``
     and raises ``InfeasibleError`` when the set is empty.
+
+    The result is memoised per ``(prim, k)`` in ``prim.projections``, so the
+    outcome, the gap and the certificate of one set share one projection;
+    the returned array is read-only.
     """
+    price = prim.projections.get(k)
+    if price is None:
+        price = _projected(prim, k)
+        price.setflags(write=False)
+        prim.projections[k] = price
+    return price
+
+
+def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     q = unrestricted_price(prim)
     if isinstance(k, Unrestricted):
         return q

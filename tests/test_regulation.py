@@ -28,6 +28,20 @@ def random_box(rng, prim, binding=True):
     return netreg.Box(lower=lower, upper=upper)
 
 
+def cut_halfspaces(seed, delta_fraction=0.5):
+    """Random halfspaces, each cut through or just past half the values on a
+    core-periphery graph; about one list in five has an empty intersection."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 30))
+    m = int(rng.integers(n, 2 * n))
+    net = netreg.gen_core_periphery(3, (n - 3) // 3)
+    a = rng.uniform(5.0, 25.0, net.n)
+    prim = netreg.MarketPrimitives(net=net, a=a, c=np.zeros(net.n), delta=delta_fraction / net.lambda1)
+    vmat = rng.normal(size=(m, net.n))
+    offsets = vmat @ (0.5 * a) - rng.uniform(0.0, 2.0, m) * np.linalg.norm(vmat, axis=1)
+    return prim, netreg.Halfspaces(constraints=tuple(zip(vmat, offsets)))
+
+
 def random_difference_caps(rng, n, low=0.0, high=1.0):
     mat = np.zeros((n, n))
     iu = np.triu_indices(n, 1)
@@ -169,6 +183,18 @@ class TestProjectionClosedForms:
         oracle = project_oracle(prim, *halfspace_form(reg, 5))
         assert np.abs(p - oracle).max() <= 1e-6
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: netreg.Box(lower=np.full(n, -np.inf), upper=np.full(n, np.inf)),
+            lambda n: netreg.PriceDifference(delta_matrix=np.where(np.eye(n, dtype=bool), 0.0, np.inf)),
+        ],
+        ids=["box", "difference-caps"],
+    )
+    def test_every_bound_infinite(self, rng, make):
+        prim = random_primitives(rng, random_connected_network(rng, 5))
+        assert np.array_equal(netreg.project(prim, make(5)), netreg.unrestricted_price(prim))
+
     def test_average_price_slack(self, rng):
         prim = random_primitives(rng, random_connected_network(rng, 5))
         theta = np.full(5, 0.2)
@@ -270,6 +296,80 @@ class TestProjectionOracle:
         vmat, offsets = halfspace_form(box, 9)
         for reg in (box, netreg.Halfspaces(constraints=tuple(zip(vmat, offsets)))):
             assert netreg.regulation.contains(prim, reg, netreg.project(prim, reg))
+
+
+    def test_no_face_past_the_dimension(self):
+        # on 9 markets rounding used to admit a 10th face; the singular
+        # refinement then returned a price 22.3 outside this empty set
+        prim, reg = cut_halfspaces(295)
+        with pytest.raises(netreg.InfeasibleError):
+            netreg.project(prim, reg)
+
+    def test_cut_halfspaces_against_linprog(self):
+        # every price is in its set, and every set called empty is empty
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        outside, called_empty = [], []
+        for seed in range(400):
+            prim, reg = cut_halfspaces(seed)
+            try:
+                price = netreg.project(prim, reg)
+            except netreg.InfeasibleError:
+                free = [(None, None)] * prim.n
+                lp = linprog(np.zeros(prim.n), A_ub=reg.normals, b_ub=reg.offsets, bounds=free, method="highs")
+                if lp.status != 2:
+                    called_empty.append(seed)
+            else:
+                if not netreg.regulation.contains(prim, reg, price):
+                    outside.append(seed)
+        assert outside == [] and called_empty == []
+
+
+class TestProjectionMemo:
+    def test_one_projection_per_request(self, monkeypatch):
+        prim = cp_prim()
+        ceilings = netreg.unrestricted_price(prim) - np.linspace(0.5, 2.0, 9)
+        reg = netreg.Halfspaces(constraints=tuple(zip(np.eye(9), ceilings)))
+        solver = netreg.regulation._active_set_projection
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solver(*args)
+
+        monkeypatch.setattr(netreg.regulation, "_active_set_projection", counting)
+        netreg.equilibrium_outcome(prim, reg)
+        netreg.gap(prim, reg)
+        netreg.pareto_certificate(prim, reg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "reg",
+        [
+            netreg.Unrestricted(),
+            netreg.Uniform(),
+            netreg.Box(lower=np.full(9, 5.0), upper=np.full(9, 8.0)),
+            netreg.PriceDifference(delta_matrix=1.0 - np.eye(9)),
+            netreg.AveragePrice(theta=np.full(9, 1.0 / 9.0), cap=6.0),
+        ],
+        ids=lambda reg: reg.kind,
+    )
+    def test_price_is_read_only(self, reg):
+        price = netreg.project(cp_prim(), reg)
+        with pytest.raises(ValueError):
+            price[0] = 0.0
+
+    def test_uniform_and_unrestricted_kept_apart(self):
+        prim = cp_prim()
+        uniform = netreg.project(prim, netreg.Uniform())
+        assert np.array_equal(netreg.project(prim, netreg.Unrestricted()), netreg.unrestricted_price(prim))
+        assert np.ptp(uniform) == 0.0
+        assert netreg.project(prim, netreg.Uniform()) is uniform
+
+    def test_equal_boxes_give_equal_prices(self):
+        prim = cp_prim()
+        bounds = dict(lower=np.full(9, 5.0), upper=np.full(9, 8.0))
+        first = netreg.project(prim, netreg.Box(**bounds))
+        assert np.array_equal(netreg.project(prim, netreg.Box(**bounds)), first)
 
 
 class TestEquilibriumOutcome:
