@@ -114,8 +114,10 @@ class InvariantError(NumericalError):
 
 
 class SweepError(NumericalError):
-    """A sweep aborted; carries the spillover value that failed."""
+    """A sweep aborted; carries the spillover value that failed and the
+    kind of the regulation being swept."""
 
-    def __init__(self, delta, cause):
-        super().__init__(f"sweep failed at delta={delta!r}: {cause}")
+    def __init__(self, delta, cause, kind):
+        super().__init__(f"sweep failed at delta={delta!r} ({kind}): {cause}")
         self.delta = delta
+        self.kind = kind

@@ -24,6 +24,13 @@ so their rounding errors cancel: ratios stay within about 1e-15 relative as
 ``delta*lambda_1`` approaches 1, although a raw ``H z`` from
 :func:`netreg.network.h_apply` is accurate only to about
 ``eps / (1 - delta*lambda_1)``.
+
+A sweep evaluates one market ``(G, a, c)`` at many spillovers.
+:class:`MarketPrimitives` therefore keeps two kinds of cache: data that
+depends on ``delta`` (``h_hat``, the projection memo) and data that does not
+(``half_gap_hat``, ``unrestricted_hat``, ``adjacency_products``).
+:meth:`MarketPrimitives.at` gives the same market at another spillover,
+sharing the second kind and starting the first empty.
 """
 
 from dataclasses import dataclass
@@ -48,6 +55,11 @@ class MarketPrimitives:
 
     Requires finite ``a`` and ``c`` with ``a_i > c_i`` everywhere, and
     ``0 <= delta`` with ``delta * lambda_1 < 1``.
+
+    Cached on first use: ``h_hat`` and ``projections`` depend on ``delta``;
+    ``half_gap_hat``, ``unrestricted_hat`` and ``adjacency_products`` depend
+    on ``(G, a, c)`` alone, and :meth:`at` hands them to the same market at
+    another spillover.
     """
 
     net: Network
@@ -80,6 +92,25 @@ class MarketPrimitives:
     def n(self):
         return self.net.n
 
+    def at(self, delta: float) -> "MarketPrimitives":
+        """The same market at spillover ``delta``.
+
+        Checks ``delta`` like the constructor, and shares the validated,
+        read-only ``a`` and ``c`` and every delta-independent cache with
+        ``self`` (forming them on ``self`` first if needed); the per-delta
+        caches of the result start empty.
+        """
+        netmod.check_spillover(self.net, delta)
+        other = object.__new__(MarketPrimitives)
+        vars(other).update(
+            net=self.net,
+            a=self.a,
+            c=self.c,
+            delta=float(delta),
+            **{name: getattr(self, name) for name in _DELTA_FREE},
+        )
+        return other
+
     @cached_property
     def half_gap_hat(self) -> np.ndarray:
         """``W' (a-c)/2``: the markup in the eigenbasis of G, formed once,
@@ -87,6 +118,19 @@ class MarketPrimitives:
         dhat = self.net.spectrum.eigenvectors.T @ (0.5 * (self.a - self.c))
         dhat.setflags(write=False)
         return dhat
+
+    @cached_property
+    def unrestricted_hat(self) -> np.ndarray:
+        """``W' p_ur``: the unrestricted price in the eigenbasis of G."""
+        qhat = self.net.spectrum.eigenvectors.T @ unrestricted_price(self)
+        qhat.setflags(write=False)
+        return qhat
+
+    @cached_property
+    def adjacency_products(self) -> dict:
+        """Memo of ``G theta`` for each ``AveragePrice``, read-only and keyed
+        like ``projections``; it does not depend on delta."""
+        return {}
 
     @cached_property
     def h_hat(self) -> np.ndarray:
@@ -102,6 +146,10 @@ class MarketPrimitives:
         array-holding kinds, by value for ``Uniform`` and ``Unrestricted``).
         It lives and dies with these primitives."""
         return {}
+
+
+# the caches that `MarketPrimitives.at` shares across spillovers
+_DELTA_FREE = ("half_gap_hat", "unrestricted_hat", "adjacency_products")
 
 
 @dataclass(frozen=True, eq=False)

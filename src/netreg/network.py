@@ -15,6 +15,7 @@ raw ``H v`` is accurate to about ``eps / (1 - delta*lambda_1)`` relative.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,13 @@ class Network:
     @property
     def lambda1(self):
         return float(self.spectrum.eigenvalues[0])
+
+    @cached_property
+    def ones_hat(self) -> np.ndarray:
+        """``W' 1``: the all-ones vector in the eigenbasis, formed once."""
+        what = self.spectrum.eigenvectors.T @ np.ones(self.n)
+        what.setflags(write=False)
+        return what
 
 
 def _orient_columns(vecs):

@@ -13,8 +13,9 @@ the feasible set.  Supported set kinds:
 * ``Halfspaces([...])``     -- explicit list of (normal, offset) pairs
 
 Projection dispatch: Unrestricted and Uniform have closed forms (the
-uniform level is ``<1, H p_ur> / <1, H 1>``), as do zero difference caps
-(the uniform line), a point box and AveragePrice (a single halfspace).
+uniform level is ``<1, H p_ur> / <1, H 1>``, summed in the eigenbasis), as
+do zero difference caps (the uniform line), a point box and AveragePrice (a
+single halfspace).
 Everything else is decomposed into halfspaces ``V p <= m``, one row per
 face, built by array indexing (``halfspace_form``), and projected by the
 Goldfarb-Idnani dual active-set method in the H metric, which needs only
@@ -118,10 +119,12 @@ class Box(RegulationSet):
 @dataclass(frozen=True, eq=False)
 class PriceDifference(RegulationSet):
     """|p_i - p_j| <= delta_matrix[i, j]; the matrix is symmetric, >= 0,
-    and +inf where a pair has no cap."""
+    and +inf where a pair has no cap.  ``zero_caps`` is True when every cap
+    is zero, so the set is the uniform-price line."""
 
     kind = "price_difference"
     delta_matrix: np.ndarray = None
+    zero_caps: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.delta_matrix, dtype=float).copy()
@@ -138,6 +141,7 @@ class PriceDifference(RegulationSet):
             raise ValidationError("difference-cap diagonal must be zero")
         d.setflags(write=False)
         object.__setattr__(self, "delta_matrix", d)
+        object.__setattr__(self, "zero_caps", not np.any(d != 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,11 +387,17 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
 
 
 def uniform_price(prim: MarketPrimitives) -> np.ndarray:
-    """Optimal single price level: ``<1, H p_ur> / <1, H 1>`` on every market."""
-    ones = np.ones(prim.n)
-    h_ones = h_apply(prim.net, prim.delta, ones)
-    level = float(h_ones @ unrestricted_price(prim)) / float(h_ones @ ones)
-    return level * ones
+    """Optimal single price level ``<1, H p_ur> / <1, H 1>`` on every market.
+
+    The level is summed in the eigenbasis of G: with ``w = W'1``,
+    ``q = W' p_ur`` and ``h = 1/(1 - delta*lambda)`` it is
+    ``sum(w*h*q) / sum(w^2*h)``, a quotient of forms in the same ``h`` like
+    the welfare ratios, so it keeps their accuracy near the spectral bound.
+    ``w`` and ``q`` do not depend on delta, so it costs O(n) per spillover.
+    """
+    w_h = prim.net.ones_hat * prim.h_hat
+    level = float(w_h @ prim.unrestricted_hat) / float(w_h @ prim.net.ones_hat)
+    return np.full(prim.n, level)
 
 
 def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
@@ -418,8 +428,8 @@ def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
         return q
     if isinstance(k, Uniform):
         return uniform_price(prim)
-    if isinstance(k, PriceDifference) and not np.any(k.delta_matrix != 0.0):
-        # all caps zero: the set is exactly the uniform-price line
+    if isinstance(k, PriceDifference) and k.zero_caps:
+        # the set is exactly the uniform-price line
         _check_dim(k.delta_matrix.shape[0], prim.n)
         return uniform_price(prim)
     if isinstance(k, Box) and np.array_equal(k.lower, k.upper):
@@ -428,7 +438,12 @@ def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
         return k.lower.copy()
     if isinstance(k, AveragePrice):
         _check_dim(k.theta.shape[0], prim.n)
-        hinv_theta = k.theta - prim.delta * (prim.net.adjacency @ k.theta)
+        g_theta = prim.adjacency_products.get(k)
+        if g_theta is None:
+            g_theta = prim.net.adjacency @ k.theta
+            g_theta.setflags(write=False)
+            prim.adjacency_products[k] = g_theta
+        hinv_theta = k.theta - prim.delta * g_theta
         slack = float(k.theta @ q) - k.cap
         if slack <= 0.0:
             return q

@@ -3,7 +3,11 @@
 A sweep evaluates one scenario on its spillover grid: at each value it
 projects the unrestricted price onto the regulation, records the welfare
 ratios and the average-deviation statistic, solves the frontier point at
-the equilibrium profit ratio, and reports the vertical gap to it.
+the equilibrium profit ratio, and reports the vertical gap to it.  One
+market is built per sweep and each row takes it to its spillover with
+``MarketPrimitives.at``, so the delta-independent spectral data is formed
+once; nothing else carries from row to row, and every row equals the
+single-point ``gap`` at its spillover bit for bit.
 
 The named experiments reproduce the desk-scale figure data: the
 core-periphery uniform-pricing cases, the complete-graph control, the
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NetregError, SweepError, UnknownExperimentError
 from .market import MarketPrimitives, a_statistic
-from .regulation import gap_parts
+from .regulation import RegulationSet, gap_parts
 from .scenario import Scenario, delta_grid, parse_scenario, scenario_text
 
 CSV_HEADER = "delta,r_v_star,r_pi_star,r_v_plus,a_stat,gap"
@@ -31,11 +35,10 @@ class SweepRow:
     gap: float
 
 
-def _row_at(scenario: Scenario, delta: float) -> SweepRow:
-    prim = MarketPrimitives(net=scenario.network, a=scenario.a, c=scenario.c, delta=delta)
-    p_star, r_v_star, r_pi_star, r_v_plus = gap_parts(prim, scenario.regulation)
+def _row_at(prim: MarketPrimitives, regulation: RegulationSet) -> SweepRow:
+    p_star, r_v_star, r_pi_star, r_v_plus = gap_parts(prim, regulation)
     return SweepRow(
-        delta=float(delta),
+        delta=prim.delta,
         r_v_star=r_v_star,
         r_pi_star=r_pi_star,
         r_v_plus=r_v_plus,
@@ -49,14 +52,15 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
 
     A failure at any grid point, a negative equilibrium profit ratio
     included, aborts the sweep with a ``SweepError`` naming the offending
-    value.
+    value and the regulation kind.
     """
+    market = MarketPrimitives(net=scenario.network, a=scenario.a, c=scenario.c, delta=0.0)
     rows = []
     for delta in delta_grid(scenario):
         try:
-            rows.append(_row_at(scenario, float(delta)))
+            rows.append(_row_at(market.at(float(delta)), scenario.regulation))
         except NetregError as err:
-            raise SweepError(float(delta), err) from err
+            raise SweepError(float(delta), err, scenario.regulation.kind) from err
     return rows
 
 

@@ -280,6 +280,29 @@ class TestWelfareOutcome:
         assert len(calls) == 1
 
 
+class TestAt:
+    def test_shares_delta_free_caches(self, rng):
+        net = random_connected_network(rng, 5)
+        prim = random_primitives(rng, net)
+        netreg.project(prim, netreg.Uniform())
+        delta = 0.5 / net.lambda1
+        other = prim.at(delta)
+        assert other.delta == delta
+        assert other.a is prim.a and other.c is prim.c and other.net is prim.net
+        assert other.half_gap_hat is prim.half_gap_hat
+        assert other.unrestricted_hat is prim.unrestricted_hat
+        assert other.adjacency_products is prim.adjacency_products
+        assert prim.projections and other.projections == {}
+        assert np.array_equal(other.h_hat, 1.0 / (1.0 - delta * net.spectrum.eigenvalues))
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5])
+    def test_spectral_bound(self, rng, fraction):
+        net = random_connected_network(rng, 4)
+        prim = random_primitives(rng, net)
+        with pytest.raises(netreg.SpectralBoundError):
+            prim.at(fraction / net.lambda1)
+
+
 def test_half_gap(rng):
     net = random_connected_network(rng, 4)
     prim = random_primitives(rng, net)

@@ -38,6 +38,11 @@ count = 5
 max_fraction = 0.9
 """
 
+AVERAGE = INLINE.replace(
+    "kind = box\nlower = -inf 0\nupper = 4 inf",
+    "kind = average_price\nweights = 0.5 0.5\ncap = 4",
+)
+
 HALFSPACES = INLINE.replace(
     "kind = box\nlower = -inf 0\nupper = 4 inf",
     "kind = halfspaces\nhalfspace = 1 0 <= 4\nhalfspace = 0 1 <= 9",
@@ -182,9 +187,11 @@ class TestSweep:
             netreg.run_sweep(parse_scenario(text))
         assert err.value.delta is not None
         assert str(err.value.delta) in str(err.value)
+        assert err.value.kind == "box"
+        assert f"delta={err.value.delta!r} (box): " in str(err.value)
 
     def test_rows_match_single_point_api(self):
-        scenarios = [parse_scenario(CP_UNIFORM), parse_scenario(INLINE)]
+        scenarios = [parse_scenario(CP_UNIFORM), parse_scenario(INLINE), parse_scenario(AVERAGE)]
         scenarios += experiment_scenarios("figB2b", count=6).values()
         for s in scenarios:
             for row in netreg.run_sweep(s):
@@ -193,6 +200,22 @@ class TestSweep:
                 assert row.gap == netreg.gap(prim, s.regulation)
                 assert (row.r_v_star, row.r_pi_star) == netreg.ratios(prim, p_star)
                 assert row.a_stat == netreg.a_statistic(prim, p_star)
+
+    def test_uniform_line_sweeps_apply_no_h(self, monkeypatch):
+        # the uniform level is summed in the eigenbasis from delta-free data
+        calls, h_apply = [], netreg.network.h_apply
+
+        def counting(*args):
+            calls.append(args)
+            return h_apply(*args)
+
+        for module in (netreg.network, netreg.market, netreg.regulation):
+            monkeypatch.setattr(module, "h_apply", counting)
+        uniform = CP_UNIFORM.replace("count = 12", "count = 10")
+        zero_caps = uniform.replace("kind = uniform", "kind = price_difference\nmax_difference = 0")
+        for text in (uniform, zero_caps):
+            assert len(netreg.run_sweep(parse_scenario(text))) == 10
+        assert calls == []
 
 
 class TestCsv:
