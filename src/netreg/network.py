@@ -76,20 +76,27 @@ class Network:
         return what
 
 
-def _orient_columns(vecs):
-    # the first largest-magnitude entry of each column positive; the Perron
-    # column by the sign of its sum
-    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    sign = np.where(peak < 0.0, -1.0, 1.0)
+def _column_signs(vecs):
+    # +1 or -1 per column, so that its first largest-magnitude entry is
+    # positive; the Perron column goes by the sign of its sum.  That entry is
+    # the column's max or its min, both reduced row-wise with no strided pass;
+    # only where the two tie in magnitude does the first index of each decide
+    hi, lo = vecs.max(axis=0), vecs.min(axis=0)
+    sign = np.where(hi < -lo, -1.0, 1.0)
+    ties = np.flatnonzero(hi == -lo)
+    if ties.size:
+        sub = vecs[:, ties]
+        sign[ties] = np.where(sub.argmax(axis=0) <= sub.argmin(axis=0), 1.0, -1.0)
     sign[0] = -1.0 if vecs[:, 0].sum() < 0 else 1.0
-    return vecs * sign
+    return sign
 
 
 def _decompose(g):
     vals, vecs = np.linalg.eigh(g)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
-    vecs = _orient_columns(vecs[:, order])
+    vecs = vecs[:, order]
+    vecs *= _column_signs(vecs)
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralData(eigenvalues=vals, eigenvectors=vecs)
@@ -119,28 +126,35 @@ def build_network(adjacency) -> Network:
     ValidationError (a non-finite entry), NotSymmetricError,
     NegativeWeightError, NonzeroDiagonalError, DisconnectedError
     """
-    g = np.asarray(adjacency, dtype=float)
+    g = np.array(adjacency, dtype=float, order="C")  # a copy that the network owns
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise NotSymmetricError(f"adjacency must be square, got shape {g.shape}")
     if g.shape[0] == 0:
         raise InvalidSizeError("adjacency must have at least one node")
-    if not np.all(np.isfinite(g)):
+    lo, hi = g.min(), g.max()  # a NaN propagates into both
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         i, j = np.argwhere(~np.isfinite(g))[0]
         raise ValidationError(f"g[{i},{j}]={float(g[i, j])!r} must be finite")
-    scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g.T)))
-    if np.any(np.abs(g - g.T) > SYMMETRY_TOL * scale):
-        i, j = np.unravel_index(np.argmax(np.abs(g - g.T)), g.shape)
-        raise NotSymmetricError(f"g[{i},{j}]={float(g[i, j])!r} != g[{j},{i}]={float(g[j, i])!r}")
-    g = 0.5 * (g + g.T)
-    diag_tol = SYMMETRY_TOL * max(1.0, float(np.abs(g).max()))
+    bits = g.view(np.int64)
+    # exact symmetry, the common case, needs no tolerance and no averaging;
+    # compared bitwise, so that a -0.0 facing a 0.0 is averaged to 0.0
+    if not np.array_equal(bits, bits.T):
+        scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g.T)))
+        if np.any(np.abs(g - g.T) > SYMMETRY_TOL * scale):
+            i, j = np.unravel_index(np.argmax(np.abs(g - g.T)), g.shape)
+            raise NotSymmetricError(f"g[{i},{j}]={float(g[i, j])!r} != g[{j},{i}]={float(g[j, i])!r}")
+        g = 0.5 * (g + g.T)
+        lo, hi = g.min(), g.max()
+    diag_tol = SYMMETRY_TOL * max(1.0, float(hi), float(-lo))
     if np.any(np.abs(np.diag(g)) > diag_tol):
         i = int(np.argmax(np.abs(np.diag(g))))
         raise NonzeroDiagonalError(f"g[{i},{i}]={float(g[i, i])!r} must be zero")
     np.fill_diagonal(g, 0.0)
-    if np.any(g < -diag_tol):
+    if lo < 0.0:  # else no entry is negative
         i, j = np.unravel_index(int(np.argmin(g)), g.shape)
-        raise NegativeWeightError(f"g[{i},{j}]={float(g[i, j])!r} is negative")
-    g = np.where(g < 0.0, 0.0, g)  # clip round-trip dust
+        if g[i, j] < -diag_tol:
+            raise NegativeWeightError(f"g[{i},{j}]={float(g[i, j])!r} is negative")
+        g[g < 0.0] = 0.0  # clip round-trip dust
     if not _connected(g):
         raise DisconnectedError("graph is not connected")
     g.setflags(write=False)

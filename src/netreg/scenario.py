@@ -8,6 +8,10 @@ Grammar (also documented in the README):
 * every other line is ``key = value``; values are whitespace-separated
   numbers unless noted.  Matrix values separate rows with ``;``.
   Infinite bounds are spelled ``inf`` / ``-inf``.
+* numbers are plain decimal literals.  A matrix is read by numpy's text
+  reader in one call, so its entries take no ``_`` digit separators
+  (``1_0`` is an error) and its rows must have equal lengths; blank rows
+  are skipped.
 
 Sections and keys::
 
@@ -116,11 +120,15 @@ def _parse_scalar(value, line_no, kind=float):
 
 
 def _parse_matrix(value, line_no):
-    rows = [row.strip() for row in value.split(";") if row.strip()]
-    mat = [_parse_vector(row, line_no) for row in rows]
-    if len({len(r) for r in mat}) != 1:
-        raise ScenarioParseError(line_no, "matrix rows have unequal lengths")
-    return np.array(mat)
+    # one call to numpy's C text reader; _collect has already cut '#' comments
+    rows = value.split(";")
+    if not any(row.strip() for row in rows):  # loadtxt would only warn
+        raise ScenarioParseError(line_no, "matrix has no rows")
+    try:
+        return np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError as err:  # a bad number, or rows of unequal lengths
+        reason = str(err).split(";")[0]  # drop numpy's hint about usecols
+        raise ScenarioParseError(line_no, f"bad matrix: {reason}") from err
 
 
 def _collect(text):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import netreg
-from netreg.network import DEGREE_TOL, _connected, _orient_columns
+from netreg.network import DEGREE_TOL, SYMMETRY_TOL, _column_signs, _connected
 
 from conftest import random_connected_network
 
@@ -74,6 +74,123 @@ class TestBuildNetwork:
     def test_adjacency_is_immutable(self, dyad):
         with pytest.raises(ValueError):
             dyad.adjacency[0, 1] = 5.0
+
+
+def reference_build(adjacency):
+    """build_network's validation as it read every check off the averaged
+    matrix, with columns oriented by a strided argmax of |W|: the adjacency,
+    eigenvalues and eigenvectors it returns, or the error it raises."""
+    g = np.asarray(adjacency, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise netreg.NotSymmetricError(f"adjacency must be square, got shape {g.shape}")
+    if g.shape[0] == 0:
+        raise netreg.InvalidSizeError("adjacency must have at least one node")
+    if not np.all(np.isfinite(g)):
+        i, j = np.argwhere(~np.isfinite(g))[0]
+        raise netreg.ValidationError(f"g[{i},{j}]={float(g[i, j])!r} must be finite")
+    scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g.T)))
+    if np.any(np.abs(g - g.T) > SYMMETRY_TOL * scale):
+        i, j = np.unravel_index(np.argmax(np.abs(g - g.T)), g.shape)
+        raise netreg.NotSymmetricError(f"g[{i},{j}]={float(g[i, j])!r} != g[{j},{i}]={float(g[j, i])!r}")
+    g = 0.5 * (g + g.T)
+    diag_tol = SYMMETRY_TOL * max(1.0, float(np.abs(g).max()))
+    if np.any(np.abs(np.diag(g)) > diag_tol):
+        i = int(np.argmax(np.abs(np.diag(g))))
+        raise netreg.NonzeroDiagonalError(f"g[{i},{i}]={float(g[i, i])!r} must be zero")
+    np.fill_diagonal(g, 0.0)
+    if np.any(g < -diag_tol):
+        i, j = np.unravel_index(int(np.argmin(g)), g.shape)
+        raise netreg.NegativeWeightError(f"g[{i},{j}]={float(g[i, j])!r} is negative")
+    g = np.where(g < 0.0, 0.0, g)
+    if not _connected(g):
+        raise netreg.DisconnectedError("graph is not connected")
+    vals, vecs = np.linalg.eigh(g)
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    sign = np.where(peak < 0.0, -1.0, 1.0)
+    sign[0] = -1.0 if vecs[:, 0].sum() < 0 else 1.0
+    return g, vals, vecs * sign
+
+
+def ring_with_chords(rng, n, chords):
+    g = np.zeros((n, n))
+    idx = np.arange(n)
+    g[idx, (idx + 1) % n] = g[(idx + 1) % n, idx] = 1.0
+    i, j = rng.integers(n, size=(2, chords))
+    keep = i != j
+    g[i[keep], j[keep]] = g[j[keep], i[keep]] = 1.0
+    return g
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+class TestBuildMatchesReference:
+    def test_bit_identical_network(self, rng):
+        near = ring_with_chords(rng, 40, 60) * rng.uniform(0.5, 1.5, (40, 40))
+        near = np.triu(near, 1) + np.triu(near, 1).T
+        near[0, 1] *= 1.0 + 5e-13  # asymmetric within SYMMETRY_TOL
+        near[5, 5] = 1e-13  # diagonal dust
+        near[7, 30] = near[30, 7] = -1e-13  # negative dust
+        signed_zeros = ring_with_chords(rng, 12, 10)
+        signed_zeros[0, 6], signed_zeros[6, 0] = -0.0, 0.0  # averaged to 0.0
+        signed_zeros[1, 7] = signed_zeros[7, 1] = -0.0  # kept as -0.0
+        inputs = [
+            np.array(netreg.gen_core_periphery(3, 2).adjacency),
+            np.array(netreg.gen_complete_bipartite(2, 10).adjacency),
+            np.array(netreg.gen_complete(9).adjacency),
+            ring_with_chords(np.random.default_rng(300), 300, 600),
+            near,
+            signed_zeros,
+            np.asfortranarray(ring_with_chords(rng, 30, 40)),
+            [[0.0]],
+        ]
+        for adjacency in inputs:
+            before = np.array(adjacency, dtype=float)
+            net = netreg.build_network(adjacency)
+            g, vals, vecs = reference_build(adjacency)
+            assert np.array_equal(_bits(net.adjacency), _bits(g))
+            assert np.array_equal(_bits(net.spectrum.eigenvalues), _bits(vals))
+            assert np.array_equal(_bits(net.spectrum.eigenvectors), _bits(vecs))
+            # one memory layout too, so products with W round alike
+            assert net.spectrum.eigenvectors.flags.f_contiguous == vecs.flags.f_contiguous
+            # the caller's matrix is neither changed nor frozen
+            assert np.array_equal(_bits(np.asarray(adjacency, dtype=float)), _bits(before))
+            assert not isinstance(adjacency, np.ndarray) or adjacency.flags.writeable
+
+    def test_same_error_names_same_entry(self):
+        ring = ring_with_chords(np.random.default_rng(5), 6, 4)
+
+        def edit(*entries):
+            g = ring.copy()
+            for i, j, value in entries:
+                g[i, j] = value
+            return g
+
+        disconnected = ring.copy()
+        disconnected[:3, 3:] = disconnected[3:, :3] = 0.0
+        inputs = [
+            edit((1, 2, np.inf), (2, 1, np.inf)),
+            edit((3, 4, np.nan), (0, 5, -np.inf)),
+            edit((0, 1, 2.0)),
+            edit((2, 3, 3.0), (3, 2, 2.5), (4, 5, 1.0 + 1e-9)),
+            edit((1, 1, 0.5)),
+            edit((2, 2, -1e-9), (4, 4, 2e-9)),
+            edit((1, 3, -1.0), (3, 1, -1.0)),
+            edit((2, 4, -2.0), (4, 2, -2.0), (0, 5, -3.0), (5, 0, -3.0)),
+            disconnected,
+            np.zeros((2, 3)),
+            np.zeros((0, 0)),
+        ]
+        for adjacency in inputs:
+            with pytest.raises(netreg.ValidationError) as want:
+                reference_build(adjacency)
+            with pytest.raises(netreg.ValidationError) as got:
+                netreg.build_network(adjacency)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 class TestGenerators:
@@ -160,7 +277,7 @@ class TestSpectrumInvariants:
 
         ties = np.array([[0.5, -0.5, 0.5], [-0.5, 0.5, -0.5], [0.1, 0.0, -0.5]])
         for vecs in [ties] + [rng.normal(size=(n, n)) for n in (1, 2, 7, 20)]:
-            assert np.array_equal(_orient_columns(vecs), reference(vecs))
+            assert np.array_equal(vecs * _column_signs(vecs), reference(vecs))
 
 
 class TestConnectivity:

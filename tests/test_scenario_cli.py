@@ -5,7 +5,7 @@ import pytest
 
 import netreg
 from netreg.cli import main
-from netreg.scenario import delta_grid, format_scenario, parse_scenario, scenario_text
+from netreg.scenario import _parse_matrix, delta_grid, format_scenario, parse_scenario, scenario_text
 from netreg.sweeps import CSV_HEADER, experiment_scenarios, read_csv
 
 
@@ -46,6 +46,11 @@ AVERAGE = INLINE.replace(
 HALFSPACES = INLINE.replace(
     "kind = box\nlower = -inf 0\nupper = 4 inf",
     "kind = halfspaces\nhalfspace = 1 0 <= 4\nhalfspace = 0 1 <= 9",
+)
+
+DIFFERENCE = INLINE.replace(
+    "kind = box\nlower = -inf 0\nupper = 4 inf",
+    "kind = price_difference\nmax_difference = 0 1; 1 0",
 )
 
 
@@ -117,8 +122,25 @@ class TestParsing:
             (INLINE, "box\nlower = -inf 0\nupper = 4 inf", "average_price\nweights = 0.5 0.5\ncap = seven"),
             (INLINE, "upper = 4 inf", "upper = 5 x"),
             (HALFSPACES, "halfspace = 1 0 <= 4", "halfspace = 1 x <= 5"),
+            (INLINE, "adjacency = 0 1; 1 0", "adjacency = 0 1; 1 O"),
+            (INLINE, "adjacency = 0 1; 1 0", "adjacency = 0 1; 1 0 0"),
+            (INLINE, "adjacency = 0 1; 1 0", "adjacency = ;"),
+            (DIFFERENCE, "max_difference = 0 1; 1 0", "max_difference = 0 1; 1.5.0 0"),
         ],
-        ids=["core_size", "count_typo", "count_fraction", "max_fraction", "part1", "cap", "upper", "halfspace"],
+        ids=[
+            "core_size",
+            "count_typo",
+            "count_fraction",
+            "max_fraction",
+            "part1",
+            "cap",
+            "upper",
+            "halfspace",
+            "adjacency_token",
+            "adjacency_ragged",
+            "adjacency_empty",
+            "max_difference_token",
+        ],
     )
     def test_malformed_scalar_names_its_line(self, tmp_path, capsys, text, old, new):
         bad = text.replace(old, new)
@@ -130,6 +152,25 @@ class TestParsing:
         scen.write_text(bad)
         assert main(["sweep", str(scen)]) == 1
         assert f"line {err.value.line_no}: " in capsys.readouterr().err
+
+    def test_matrix_entries_match_python_float(self):
+        # seeded random bit patterns cover every exponent, subnormals and both
+        # signs; the reader must give the double that float() gives
+        rng = np.random.default_rng(20261018)
+        values = rng.integers(-(2**63), 2**63 - 1, 9_900, dtype=np.int64, endpoint=True).view(np.float64)
+        tokens = [repr(x) for x in values[np.isfinite(values)].tolist()]
+        tokens += ["inf", "-inf", "-0", "0", "7", "-12", "12345678901234567890123", "1e400", "4.9e-324"]
+        tokens += ["1"] * (-len(tokens) % 100)
+        rows = [" ".join(tokens[i : i + 100]) for i in range(0, len(tokens), 100)]
+        got = _parse_matrix("; ".join(rows), 1)
+        want = np.array([float(tok) for tok in tokens]).reshape(got.shape)
+        assert got.shape == (len(rows), 100)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # the one behaviour change: float accepts digit separators, the reader does not
+        assert float("1_0") == 10.0
+        with pytest.raises(netreg.ScenarioParseError) as err:
+            _parse_matrix("0 1_0; 1_0 0", 4)
+        assert err.value.line_no == 4
 
     def test_halfspace_lines(self):
         s = parse_scenario(HALFSPACES)
