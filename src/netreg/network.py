@@ -3,7 +3,10 @@
 A :class:`Network` wraps a symmetric nonnegative adjacency matrix with a
 zero diagonal over a connected graph.  Its spectrum is computed once at
 construction and cached; everything downstream (Katz-Bonacich vectors,
-eigencentrality, spectral-coordinate pricing) reads that cache.
+eigencentrality, spectral-coordinate pricing) reads that cache.  A network
+is frozen and its arrays are read-only, so builds of bitwise-equal
+adjacencies share one network, and one decomposition, for as long as any
+caller holds it (see :func:`build_network`).
 
 The Leontief-type operator ``H = (I - delta*G)^-1`` is never materialised:
 :func:`h_apply` applies it in the cached eigenbasis, scaling each spectral
@@ -14,6 +17,7 @@ stay within about 1e-15 relative as ``delta`` approaches ``1/lambda_1``; a
 raw ``H v`` is accurate to about ``eps / (1 - delta*lambda_1)`` relative.
 """
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,6 +40,9 @@ from .errors import (
 SYMMETRY_TOL = 1e-12
 # weighted-degree spread below which a graph counts as regular
 DEGREE_TOL = 1e-10
+
+# every network still referenced, by the row sums of its adjacency's bits
+_live_networks = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +128,14 @@ def build_network(adjacency) -> Network:
     (it is then symmetrised by averaging, so scenario-text round-trips are
     tolerated), elementwise nonnegative with a zero diagonal, and connected.
 
+    A validated adjacency bitwise equal to that of a network still
+    referenced anywhere in the process returns that network, without a
+    second decomposition; ``-0.0`` and ``0.0`` count as different.  A
+    network is kept only while referenced, so no table grows.  The result
+    equals a fresh build because ``eigh`` of equal bits gives equal bits
+    with one BLAS thread.  The table assumes one thread builds at a time;
+    concurrent builds of one matrix at worst decompose it twice.
+
     Raises
     ------
     ValidationError (a non-finite entry), NotSymmetricError,
@@ -139,12 +154,18 @@ def build_network(adjacency) -> Network:
     # exact symmetry, the common case, needs no tolerance and no averaging;
     # compared bitwise, so that a -0.0 facing a 0.0 is averaged to 0.0
     if not np.array_equal(bits, bits.T):
+        with np.errstate(over="ignore"):  # past the largest double, a sum or difference reads inf
+            gap, mean = np.abs(g - g.T), 0.5 * (g + g.T)
         scale = np.maximum(1.0, np.maximum(np.abs(g), np.abs(g.T)))
-        if np.any(np.abs(g - g.T) > SYMMETRY_TOL * scale):
-            i, j = np.unravel_index(np.argmax(np.abs(g - g.T)), g.shape)
+        if np.any(gap > SYMMETRY_TOL * scale):
+            i, j = np.unravel_index(np.argmax(gap), g.shape)
             raise NotSymmetricError(f"g[{i},{j}]={float(g[i, j])!r} != g[{j},{i}]={float(g[j, i])!r}")
-        g = 0.5 * (g + g.T)
-        lo, hi = g.min(), g.max()
+        lo, hi = mean.min(), mean.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):  # halve before adding where the sum overflowed
+            i, j = np.nonzero(~np.isfinite(mean))
+            mean[i, j] = 0.5 * g[i, j] + 0.5 * g[j, i]
+            lo, hi = mean.min(), mean.max()
+        g = mean
     diag_tol = SYMMETRY_TOL * max(1.0, float(hi), float(-lo))
     if np.any(np.abs(np.diag(g)) > diag_tol):
         i = int(np.argmax(np.abs(np.diag(g))))
@@ -158,7 +179,14 @@ def build_network(adjacency) -> Network:
     if not _connected(g):
         raise DisconnectedError("graph is not connected")
     g.setflags(write=False)
-    return Network(adjacency=g, spectrum=_decompose(g))
+    # integer sums wrap without a warning; equal sums of unequal bits are a miss
+    bits = g.view(np.int64)
+    key = bits.sum(axis=1).tobytes()
+    net = _live_networks.get(key)
+    if net is None or not np.array_equal(net.adjacency.view(np.int64), bits):
+        net = Network(adjacency=g, spectrum=_decompose(g))
+        _live_networks[key] = net
+    return net
 
 
 def gen_core_periphery(core_size: int, periphery_per_core: int) -> Network:

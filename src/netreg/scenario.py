@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network as netmod
-from .errors import ScenarioParseError, ValidationError
+from .errors import InvariantError, ScenarioParseError, ValidationError
 from .market import MarketPrimitives
 from .network import Network
 from .regulation import (
@@ -127,8 +127,34 @@ def _parse_matrix(value, line_no):
     try:
         return np.loadtxt(rows, ndmin=2, comments=None)
     except ValueError as err:  # a bad number, or rows of unequal lengths
-        reason = str(err).split(";")[0]  # drop numpy's hint about usecols
-        raise ScenarioParseError(line_no, f"bad matrix: {reason}") from err
+        raise ScenarioParseError(line_no, f"bad matrix: {_matrix_fault(rows)}") from err
+
+
+def _reads(text):
+    # whether numpy's text reader takes ``text`` as one row of numbers
+    try:
+        np.loadtxt([text], comments=None)
+    except ValueError:
+        return False
+    return True
+
+
+def _matrix_fault(rows):
+    # the first row that np.loadtxt rejects, counted from 1 as written (numpy
+    # counts a bad entry's row from 0 and a short row's from 1, both past
+    # blank rows), and its bad entry or its length
+    width = None
+    for number, row in enumerate(rows, start=1):
+        entries = row.split()
+        if not entries:
+            continue
+        if not _reads(row):
+            bad = next((entry for entry in entries if not _reads(entry)), row.strip())
+            return f"row {number} has a bad entry {bad!r}"
+        width = width or len(entries)
+        if len(entries) != width:
+            return f"row {number} has {len(entries)} entries, expected {width}"
+    raise InvariantError("np.loadtxt rejected rows that each read alone, at one length")
 
 
 def _collect(text):

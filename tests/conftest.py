@@ -45,6 +45,20 @@ def rng():
 
 
 @pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shape of every matrix passed to np.linalg.eigh during the test."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.fixture
 def dyad():
     return netreg.build_network([[0.0, 1.0], [1.0, 0.0]])
 

@@ -1,8 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import netreg
+from netreg import network
 from netreg.network import DEGREE_TOL, SYMMETRY_TOL, _column_signs, _connected
+from netreg.scenario import parse_scenario
 
 from conftest import random_connected_network
 
@@ -70,6 +75,17 @@ class TestBuildNetwork:
     def test_non_square(self):
         with pytest.raises(netreg.NotSymmetricError):
             netreg.build_network(np.zeros((2, 3)))
+
+    def test_averaging_past_the_largest_double(self):
+        # warnings are errors, so an overflow in the sum or the difference fails here
+        big = 1.7e308
+        net = netreg.build_network([[0, big, 1], [big * (1 + 1e-15), 0, 1], [1, 1, 0]])
+        assert np.all(np.isfinite(net.adjacency))
+        assert np.array_equal(net.adjacency, net.adjacency.T)
+        assert net.adjacency[0, 1] == 0.5 * big + 0.5 * (big * (1 + 1e-15))
+        with pytest.raises(netreg.NotSymmetricError) as err:
+            netreg.build_network([[0, big, 1], [-big, 0, 1], [1, 1, 0]])
+        assert str(err.value) == "g[0,1]=1.7e+308 != g[1,0]=-1.7e+308"
 
     def test_adjacency_is_immutable(self, dyad):
         with pytest.raises(ValueError):
@@ -191,6 +207,93 @@ class TestBuildMatchesReference:
                 netreg.build_network(adjacency)
             assert type(got.value) is type(want.value)
             assert str(got.value) == str(want.value)
+
+
+INLINE_TRIANGLE = """\
+[network]
+kind = inline
+adjacency = 0 1.25 3; 1.25 0 0.5; 3 0.5 0
+
+[values]
+a = 6 8 7
+
+[regulation]
+kind = uniform
+
+[delta_grid]
+count = 3
+max_fraction = 0.5
+"""
+
+
+class TestSharedNetworks:
+    @staticmethod
+    def assert_fresh(net, adjacency):
+        g, vals, vecs = reference_build(adjacency)
+        assert np.array_equal(_bits(net.adjacency), _bits(g))
+        assert np.array_equal(_bits(net.spectrum.eigenvalues), _bits(vals))
+        assert np.array_equal(_bits(net.spectrum.eigenvectors), _bits(vecs))
+
+    def test_one_inline_text_decomposes_once(self, eigh_calls):
+        first, second, third = (parse_scenario(INLINE_TRIANGLE) for _ in range(3))
+        assert first.network is second.network is third.network
+        assert eigh_calls == [(3, 3)]
+
+    def test_one_bit_apart_builds_apart(self, eigh_calls):
+        g = ring_with_chords(np.random.default_rng(11), 8, 4)
+        h = g.copy()
+        h[0, 1] = h[1, 0] = np.nextafter(1.0, 2.0)
+        a, b = netreg.build_network(g), netreg.build_network(h)
+        assert a is not b
+        assert len(eigh_calls) == 2
+        self.assert_fresh(a, g)
+        self.assert_fresh(b, h)
+
+    def test_equal_bit_sums_are_a_miss(self, eigh_calls):
+        # a 4-cycle whose weights move one ulp up and down in turn keeps the
+        # integer sum of each row's bits, so both share a table key
+        def cycle(weights):
+            g = np.zeros((4, 4))
+            for (i, j), w in zip(((0, 1), (1, 2), (2, 3), (3, 0)), weights):
+                g[i, j] = g[j, i] = w
+            return g
+
+        up, down = np.nextafter(0.75, 1.0), np.nextafter(0.75, 0.0)
+        g, h = cycle([0.75] * 4), cycle([up, down, up, down])
+        assert np.array_equal(_bits(g).sum(axis=1), _bits(h).sum(axis=1))
+        a, b = netreg.build_network(g), netreg.build_network(h)
+        assert a is not b
+        assert len(eigh_calls) == 2
+        self.assert_fresh(a, g)
+        self.assert_fresh(b, h)
+        assert netreg.build_network(h) is b
+
+    def test_dropped_network_leaves_the_table(self, eigh_calls):
+        g = ring_with_chords(np.random.default_rng(13), 7, 3) * 1.5
+        net = netreg.build_network(g)
+        gone = weakref.ref(net)
+        del net
+        gc.collect()
+        assert gone() is None
+        assert len(network._live_networks) == 0
+        netreg.build_network(g)
+        assert len(eigh_calls) == 2
+
+    def test_rejected_input_ignores_a_live_twin(self):
+        g = ring_with_chords(np.random.default_rng(12), 6, 3)
+        live = netreg.build_network(g)
+        nan, lopsided, cut = g.copy(), g.copy(), g.copy()
+        nan[1, 2] = nan[2, 1] = np.nan
+        lopsided[0, 1] = 2.0
+        cut[:3, 3:] = cut[3:, :3] = 0.0
+        for adjacency in (nan, lopsided, cut):
+            with pytest.raises(netreg.ValidationError) as want:
+                reference_build(adjacency)
+            with pytest.raises(netreg.ValidationError) as got:
+                netreg.build_network(adjacency)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+        assert netreg.build_network(g) is live
 
 
 class TestGenerators:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import numpy as np
@@ -172,6 +173,20 @@ class TestParsing:
             _parse_matrix("0 1_0; 1_0 0", 4)
         assert err.value.line_no == 4
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0 1; 1 O", "row 2 has a bad entry 'O'"),
+            ("0 1; 1 0 0", "row 2 has 3 entries, expected 2"),
+            ("0 1 0; 1 O 1", "row 2 has a bad entry 'O'"),
+            ("0 1;; 1 O", "row 3 has a bad entry 'O'"),
+        ],
+    )
+    def test_matrix_error_names_the_written_row(self, text, reason):
+        with pytest.raises(netreg.ScenarioParseError) as err:
+            _parse_matrix(text, 7)
+        assert str(err.value) == f"line 7: bad matrix: {reason}"
+
     def test_halfspace_lines(self):
         s = parse_scenario(HALFSPACES)
         assert s.regulation.kind == "halfspaces"
@@ -307,6 +322,11 @@ class TestNamedExperiments:
         for stem in sorted(texts):
             digest.update(stem.encode() + b"\0" + texts[stem].encode() + b"\0")
         assert digest.hexdigest() == "5b3a38a84e964a708acb8beab8472c53bc8a0f5dbd3ad037bf66fa34e33aca3e"
+
+    def test_capped_family_decomposes_once(self, eigh_calls):
+        gc.collect()  # no network of an earlier test may stand in
+        assert len(netreg.run_named_experiment("figB4a", count=4)) == 3
+        assert eigh_calls == [(12, 12)]
 
     def test_fig52a_shape(self):
         rows = netreg.run_named_experiment("fig52a", count=50)["fig52a"]

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "netreg"
 
@@ -59,3 +60,33 @@ def test_no_unreferenced_private_functions():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and node.name not in named
     ]
     assert unreferenced == []
+
+
+def test_runtime_imports_are_numpy_and_the_standard_library():
+    # scipy and the test tools stay test-only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "netreg"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:  # not an import, or one relative to the package
+                continue
+            foreign += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert foreign == []
+
+
+def test_no_environment_reads():
+    # behaviour follows the arguments alone, so no hidden setting can creep in
+    env = {"environ", "environb", "getenv", "getenvb"}
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in env)
+        or (isinstance(node, ast.Attribute) and node.attr in env)
+        or (isinstance(node, (ast.Import, ast.ImportFrom)) and any(alias.name in env for alias in node.names))
+    ]
+    assert reads == []
