@@ -33,7 +33,7 @@ from .errors import (
     NotRegularError,
     UnverifiedPartitionError,
 )
-from .market import MarketPrimitives, ratios, unrestricted_price
+from .market import MarketPrimitives, a_statistic, ratios, unrestricted_price
 from .network import Network, corr, demean, eigencentrality, h_apply, is_regular
 from .regulation import uniform_price
 
@@ -65,8 +65,7 @@ def psi(net: Network) -> PsiStatistic:
     lam = net.spectrum.eigenvalues
     w = net.spectrum.eigenvectors
     w1 = w[:, 0]
-    ones = np.ones(net.n)
-    s = w.T @ ones
+    s = net.ones_hat
     if net.n == 1:
         vec = np.zeros(1)
     else:
@@ -112,16 +111,11 @@ def a_stat_uniform(prim: MarketPrimitives) -> tuple[float, float]:
     """
     _require_ban_assumptions(prim.net, prim.a, prim.c)
     net = prim.net
-    ones = np.ones(prim.n)
     w1 = eigencentrality(net)
-    h_ones = h_apply(net, prim.delta, ones)
-    denom = float(w1 @ prim.a) * float(ones @ h_ones)
-    exact = -(float(ones @ h_ones) * float(w1 @ prim.a) - float(w1 @ ones) * float(h_ones @ prim.a)) / denom
-    stat = psi(net)
-    coeff = -net.lambda1 * float(stat.psi @ prim.a) / (
-        float(w1 @ prim.a) * float(w1 @ ones) ** 2
+    coeff = -net.lambda1 * float(psi(net).psi @ prim.a) / (
+        float(w1 @ prim.a) * float(net.ones_hat[0]) ** 2
     )
-    return exact, coeff
+    return a_statistic(prim, uniform_price(prim)), coeff
 
 
 def welfare_direction_large_delta(net: Network, a) -> WelfareDirection:

@@ -138,7 +138,7 @@ def build_network(adjacency) -> Network:
 
     Raises
     ------
-    ValidationError (a non-finite entry), NotSymmetricError,
+    ValidationError (a non-finite entry or eigenvalue), NotSymmetricError,
     NegativeWeightError, NonzeroDiagonalError, DisconnectedError
     """
     g = np.array(adjacency, dtype=float, order="C")  # a copy that the network owns
@@ -184,7 +184,12 @@ def build_network(adjacency) -> Network:
     key = bits.sum(axis=1).tobytes()
     net = _live_networks.get(key)
     if net is None or not np.array_equal(net.adjacency.view(np.int64), bits):
-        net = Network(adjacency=g, spectrum=_decompose(g))
+        spectrum = _decompose(g)
+        bad = np.flatnonzero(~np.isfinite(spectrum.eigenvalues))
+        if bad.size:  # finite weights near the largest double can give an infinite lambda_1
+            i = int(bad[0])
+            raise ValidationError(f"eigenvalue lambda_{i + 1}={float(spectrum.eigenvalues[i])!r} must be finite")
+        net = Network(adjacency=g, spectrum=spectrum)
         _live_networks[key] = net
     return net
 
@@ -274,9 +279,13 @@ def eigencentrality(net: Network) -> np.ndarray:
 
 
 def is_regular(net: Network) -> bool:
-    deg = net.adjacency.sum(axis=1)
+    # weighted degrees of the adjacency scaled below 1 by a power of two,
+    # which is exact, so that sums of weights near the largest double stay
+    # finite; the verdict is that of the unscaled degrees
+    scale = np.ldexp(1.0, -max(0, int(np.frexp(net.adjacency.max())[1])))
+    deg = (net.adjacency * scale).sum(axis=1)
     spread = float(deg.max() - deg.min())
-    return spread <= DEGREE_TOL * max(1.0, float(np.abs(deg).max()))
+    return spread <= DEGREE_TOL * max(scale, float(deg.max()))
 
 
 def demean(z) -> np.ndarray:

@@ -22,9 +22,8 @@ Goldfarb-Idnani dual active-set method in the H metric, which needs only
 ``Hinv = I - delta*G`` explicitly.  It is finite: it adds the most
 violated halfspace, drops faces whose multipliers reach zero, and stops
 once no halfspace is violated by more than
-``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  It keeps the inverse of
-the active Gram matrix by bordering and downdating, and solves a linear
-system once, in the final step back onto the binding faces.  An empty
+``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  It keeps the active Gram
+matrix itself, not its inverse, and solves it once per step.  An empty
 feasible set raises ``InfeasibleError``.  ``project`` memoises its price
 per ``(prim, k)`` on the primitives and returns it read-only, so the
 outcome, the gap and the certificate of one set share one projection.
@@ -274,25 +273,24 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
     p's violation is drift off those faces: the set is empty if p is still
     violated after a step back onto them.
 
-    The Gram system is not solved inside the loop.  Its inverse ``B`` is
-    kept instead, at O(k^2) per step for k active faces (Golub & Van Loan,
-    the block-inverse formula): bordered on each add by the Schur
-    complement ``v_p' z``, and downdated on each drop by
-    ``B[-j, -j] - b b' / B[j, j]``.  Near the spectral bound ``B`` drifts,
-    so ``r = B V_A Hinv v_p`` takes one step of iterative refinement, whose
-    residual is ``V_A z`` (zero for an exact ``r``).  ``Hinv v`` is formed
-    only for the row being added.  The one solve, with the Gram matrix
-    formed from the active rows, is the step back onto the active faces at
-    the end; its result is returned only if no other row is violated there,
-    and otherwise the method goes on from it.
+    The Gram matrix ``V_A Hinv V_A'`` is kept, not its inverse, and solved
+    once per step, at O(k^3) for k active faces.  An add borders it with p's
+    column ``V_A Hinv v_p``, which is the step's right-hand side anyway, and
+    ``v_p' Hinv v_p``; a drop shifts its row and column out.  Its entries
+    are formed from the rows and never updated, so nothing drifts.
+    ``Hinv v`` is formed only for the row being added.  The step back onto
+    the active faces at the end solves the same matrix; near the spectral
+    bound it is ill-conditioned, so one step may leave a face violated, and
+    a second one follows.  Its result is returned only if no other row is
+    violated there, and otherwise the method goes on from it.
     """
     n = q.shape[0]
     bound = offsets + ACTIVE_SET_TOL * (1.0 + float(np.abs(q).max())) * np.abs(vmat).sum(axis=1)
     x = q.copy()
     active = []
     # the first k entries hold the k active faces: their multipliers, v and
-    # Hinv v as rows, and B as the leading k-by-k block
-    mu, face, hface, inv = np.empty(n), np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    # Hinv v as rows, and the Gram matrix as the leading k-by-k block
+    mu, face, hface, gram = np.empty(n), np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
 
     def refined(x):
         # a step back onto the active faces, which the steps drift off when
@@ -301,11 +299,10 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
         k = len(active)
         if k == 0:
             return x
-        rows, hrows = face[:k], hface[:k]
-        gram = rows @ hrows.T
-        x = x - np.linalg.solve(gram, rows @ x - offsets[active]) @ hrows
+        rows, hrows, g = face[:k], hface[:k], gram[:k, :k]
+        x = x - np.linalg.solve(g, rows @ x - offsets[active]) @ hrows
         if np.any(rows @ x > bound[active]):
-            x = x - np.linalg.solve(gram, rows @ x - offsets[active]) @ hrows
+            x = x - np.linalg.solve(g, rows @ x - offsets[active]) @ hrows
         return x
 
     def most_violated(x):
@@ -314,7 +311,7 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
         p = int(np.argmax(violation))
         return p, violation[p] > 0.0
 
-    p, fresh = None, True
+    p = None
     for _ in range(ACTIVE_SET_STEPS_PER_HALFSPACE * offsets.shape[0]):
         if p is None:
             p, violated = most_violated(x)
@@ -328,12 +325,10 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
             curvature = float(v_p @ hv_p)  # v' Hinv v > 0
             mu_p = 0.0
         k = len(active)
-        b_inv, rows, hrows, mu_a = inv[:k, :k], face[:k], hface[:k], mu[:k]
-        r = b_inv @ (rows @ hv_p)
+        rows, hrows, mu_a = face[:k], hface[:k], mu[:k]
+        g_p = rows @ hv_p  # V_A Hinv v_p: the right-hand side, and p's Gram column
+        r = np.linalg.solve(gram[:k, :k], g_p)
         z = hv_p - r @ hrows
-        correction = b_inv @ (rows @ z)  # one refinement step
-        r += correction
-        z -= correction @ hrows
         along = float(v_p @ z)  # z' H z: zero when v_p is a combination of active normals
         full = np.inf
         if k < n and along > ACTIVE_SET_TOL * curvature:
@@ -343,12 +338,6 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
             np.divide(mu_a, r, out=ratio, where=r > 0.0)
         step = min(full, ratio.min(initial=np.inf))
         if step == np.inf:
-            if not fresh:
-                # decide emptiness only on an r from a fresh inverse, since
-                # B drifts near the spectral bound
-                inv[:k, :k] = np.linalg.solve(rows @ hrows.T, np.eye(k))
-                fresh = True
-                continue
             # near the spectral bound the violation may be drift off the
             # active faces; the set is empty only if it outlasts refinement
             x = refined(x)
@@ -360,23 +349,17 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
             x = x - step * z
         mu_a -= step * r
         mu_p += step
-        fresh = False
         if step == full:
-            # border B with the Schur complement `along`
-            b_inv += np.multiply.outer(r, r / along)
-            inv[:k, k] = inv[k, :k] = -r / along
-            inv[k, k] = 1.0 / along
+            gram[:k, k] = gram[k, :k] = g_p
+            gram[k, k] = curvature
             mu[k], face[k], hface[k] = mu_p, v_p, hv_p
             active.append(p)
             p = None
         else:
-            # drop face j and downdate B
+            # drop face j: shift the later faces, and the Gram block, up by one
             j = int(np.argmin(ratio))
-            b = np.delete(inv[:k, j], j)
-            pivot = inv[j, j]
-            inv[j : k - 1, :k] = inv[j + 1 : k, :k]
-            inv[: k - 1, j : k - 1] = inv[: k - 1, j + 1 : k]
-            inv[: k - 1, : k - 1] -= np.multiply.outer(b, b / pivot)
+            gram[j : k - 1, :k] = gram[j + 1 : k, :k]
+            gram[: k - 1, j : k - 1] = gram[: k - 1, j + 1 : k]
             for buf in (mu, face, hface):
                 buf[j : k - 1] = buf[j + 1 : k]
             del active[j]

@@ -87,6 +87,15 @@ class TestBuildNetwork:
             netreg.build_network([[0, big, 1], [-big, 0, 1], [1, 1, 0]])
         assert str(err.value) == "g[0,1]=1.7e+308 != g[1,0]=-1.7e+308"
 
+    def test_infinite_spectrum_rejected(self):
+        # finite weights whose largest eigenvalue overflows; at delta = 0 the
+        # uniform price on this network used to be NaN
+        g = np.full((3, 3), 1e308)
+        np.fill_diagonal(g, 0.0)
+        with pytest.raises(netreg.ValidationError) as err:
+            netreg.build_network(g)
+        assert str(err.value) == "eigenvalue lambda_1=inf must be finite"
+
     def test_adjacency_is_immutable(self, dyad):
         with pytest.raises(ValueError):
             dyad.adjacency[0, 1] = 5.0
@@ -504,6 +513,15 @@ class TestRegularity:
     def test_tolerance(self):
         g = np.array([[0.0, 1.0 + DEGREE_TOL / 10], [1.0 + DEGREE_TOL / 10, 0.0]])
         assert netreg.is_regular(netreg.build_network(g))
+
+    def test_degrees_past_the_largest_double(self):
+        # warnings are errors, so an overflow in the degree sums fails here
+        star = np.zeros((4, 4))
+        star[0, 1:] = star[1:, 0] = 1e308
+        net = netreg.build_network(star)
+        assert np.all(np.isfinite(net.spectrum.eigenvalues))
+        assert not netreg.is_regular(net)
+        assert netreg.is_regular(netreg.build_network([[0.0, 1e308], [1e308, 0.0]]))
 
 
 class TestVectorHelpers:

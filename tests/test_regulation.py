@@ -305,12 +305,29 @@ class TestProjectionOracle:
         with pytest.raises(netreg.InfeasibleError):
             netreg.project(prim, reg)
 
-    def test_cut_halfspaces_against_linprog(self):
+    def test_refinement_takes_a_second_step(self):
+        # one step back onto the binding faces left this price outside its set
+        prim, reg = cut_halfspaces(477, 1 - 1e-7)
+        assert netreg.regulation.contains(prim, reg, netreg.project(prim, reg))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=netreg.InfeasibleError,
+        reason="ROADMAP item 10: near the bound a nonempty set is called empty",
+    )
+    @pytest.mark.parametrize("seed, delta_fraction", [(3598, 1 - 1e-6), (6660, 1 - 1e-6), (603, 1 - 1e-7)])
+    def test_nonempty_near_the_bound(self, seed, delta_fraction):
+        prim, reg = cut_halfspaces(seed, delta_fraction)
+        assert netreg.regulation.contains(prim, reg, netreg.project(prim, reg))
+
+    @pytest.mark.parametrize("delta_fraction", [0.5, 1 - 1e-6, 1 - 1e-7])
+    def test_cut_halfspaces_against_linprog(self, delta_fraction):
         # every price is in its set, and every set called empty is empty
         linprog = pytest.importorskip("scipy.optimize").linprog
-        outside, called_empty = [], []
+        outside, called_empty, held = [], [], set()
         for seed in range(400):
-            prim, reg = cut_halfspaces(seed)
+            prim, reg = cut_halfspaces(seed, delta_fraction)
+            held.add(prim.net)  # so that the seeds on one graph share its build
             try:
                 price = netreg.project(prim, reg)
             except netreg.InfeasibleError:
