@@ -15,7 +15,8 @@ scalar, the eigencentrality-weighted average price deviation
 surplus to ``(1 - A)^2``.
 
 Both ratios are weighted sums in the cached eigenbasis of ``G``, computed in
-one place, :func:`spectral_ratios`.  With the spectral deviation
+one place, :func:`surplus_ratio` and :func:`profit_ratio` (together
+:func:`spectral_ratios`).  With the spectral deviation
 ``e = W'(p - p_ur)``, the markup ``d_hat = W'(a-c)/2`` and
 ``h = 1/(1 - delta*lambda)``, ``R_V = ||(d_hat - e)*h||^2 / ||d_hat*h||^2``
 and ``R_Pi = 1 - <h, e^2> / <h, d_hat^2>``; a frontier point is
@@ -31,6 +32,17 @@ depends on ``delta`` (``h_hat``, the projection memo) and data that does not
 (``half_gap_hat``, ``unrestricted_hat``, ``adjacency_products``).
 :meth:`MarketPrimitives.at` gives the same market at another spillover,
 sharing the second kind and starting the first empty.
+
+The welfare routines are row-wise: given prices as rows, :func:`ratios` and
+:func:`a_statistic` return one value per row.  :func:`spillover_rows` gives
+the market at a block of spillovers, one per row, as primitives whose
+``delta`` is a column and whose ``h_hat`` has one row per spillover; every
+routine that reads ``delta`` or ``h_hat`` then evaluates each row at its own
+spillover.  A row's bits do not depend on the other rows: products are
+elementwise, sums run along a row, each dot product is one ``np.vecdot``
+row (the same BLAS dot as ``x @ y``), and ``W'(p - p_ur)`` is one gemv per
+row (a gemm over the rows would round differently).  A single price is the
+block of one row, through the same code.
 """
 
 from dataclasses import dataclass
@@ -101,12 +113,15 @@ class MarketPrimitives:
         caches of the result start empty.
         """
         netmod.check_spillover(self.net, delta)
+        return self._sharing(float(delta))
+
+    def _sharing(self, delta) -> "MarketPrimitives":
         other = object.__new__(MarketPrimitives)
         vars(other).update(
             net=self.net,
             a=self.a,
             c=self.c,
-            delta=float(delta),
+            delta=delta,
             **{name: getattr(self, name) for name in _DELTA_FREE},
         )
         return other
@@ -152,6 +167,22 @@ class MarketPrimitives:
 _DELTA_FREE = ("half_gap_hat", "unrestricted_hat", "adjacency_products")
 
 
+def spillover_rows(prims) -> MarketPrimitives:
+    """One market at the spillovers of ``prims``, one per row, for the
+    row-wise routines.
+
+    ``prims`` are the same market (from :meth:`MarketPrimitives.at`), each
+    checked at its spillover.  The result shares their delta-free caches; its
+    ``delta`` is the column of their spillovers, so its ``h_hat`` has one row
+    per spillover and every routine reading ``delta`` evaluates each row at
+    its own.  It is not a market for :func:`netreg.regulation.project`.
+    One market is its own block: its scalar ``delta`` serves its one row.
+    """
+    if len(prims) == 1:
+        return prims[0]
+    return prims[0]._sharing(np.array([[prim.delta] for prim in prims]))
+
+
 @dataclass(frozen=True, eq=False)
 class WelfareOutcome:
     """Full welfare evaluation at one price vector."""
@@ -170,6 +201,18 @@ def _check_price(prim: MarketPrimitives, p) -> np.ndarray:
     if p.shape != (prim.n,):
         raise DimensionMismatchError(f"price shape {p.shape} vs n={prim.n}")
     return p
+
+
+def _check_rows(prim: MarketPrimitives, p) -> np.ndarray:
+    """A price, or prices as rows."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim not in (1, 2) or p.shape[-1] != prim.n:
+        raise DimensionMismatchError(f"price shape {p.shape} vs n={prim.n}")
+    return p
+
+
+def _scalar_or_rows(p, value):
+    return float(value) if p.ndim == 1 else value
 
 
 def _h(prim, v):
@@ -215,37 +258,59 @@ def half_gap(prim: MarketPrimitives) -> np.ndarray:
     return 0.5 * (prim.a - prim.c)
 
 
-def spectral_ratios(prim: MarketPrimitives, e) -> tuple[float, float]:
-    """(R_V, R_Pi) from the spectral price deviation ``e = W'(p - p_ur)``.
+def spectral_ratios(prim: MarketPrimitives, e):
+    """(R_V, R_Pi) of each row of the spectral price deviation
+    ``e = W'(p - p_ur)``: :func:`surplus_ratio` and :func:`profit_ratio`."""
+    return surplus_ratio(prim, e), profit_ratio(prim, e)
 
-    ``R_V = ||(d_hat - e)*h||^2 / ||d_hat*h||^2`` and
-    ``R_Pi = 1 - <h, e^2> / <h, d_hat^2>``, with ``d_hat = half_gap_hat``
-    and ``h = h_hat``.  A frontier point has ``e = -rho*d_hat``.
-    """
+
+def surplus_ratio(prim: MarketPrimitives, e):
+    """``R_V = ||(d_hat - e)*h||^2 / ||d_hat*h||^2`` of each row of ``e``,
+    with ``d_hat = half_gap_hat`` and ``h = h_hat``; each norm is one
+    ``np.vecdot`` per row.  A frontier point has ``e = -rho*d_hat``."""
     dhat, h = prim.half_gap_hat, prim.h_hat
     x = (dhat - e) * h
     y = dhat * h
-    return float(x @ x) / float(y @ y), 1.0 - float(h @ (e * e)) / float(dhat @ y)
+    return np.vecdot(x, x) / np.vecdot(y, y)
 
 
-def ratios(prim: MarketPrimitives, p) -> tuple[float, float]:
-    """(R_V, R_Pi) at price p, normalised by the unrestricted benchmark."""
-    p = _check_price(prim, p)
-    return spectral_ratios(prim, prim.net.spectrum.eigenvectors.T @ (p - unrestricted_price(prim)))
+def profit_ratio(prim: MarketPrimitives, e):
+    """``R_Pi = 1 - <h, e^2> / <h, d_hat^2>`` of each row of ``e``, the
+    forms summed as in :func:`surplus_ratio`."""
+    dhat, h = prim.half_gap_hat, prim.h_hat
+    return 1.0 - np.vecdot(h, e * e) / np.vecdot(dhat, dhat * h)
 
 
-def a_statistic(prim: MarketPrimitives, p) -> float:
+def ratios(prim: MarketPrimitives, p):
+    """(R_V, R_Pi) at price p, normalised by the unrestricted benchmark.
+
+    Row-wise: prices as rows give one array of each ratio, row i at its own
+    spillover when ``prim`` comes from :func:`spillover_rows`.
+    ``W'(p - p_ur)`` is one gemv per row, as for a single price.
+    """
+    p = _check_rows(prim, p)
+    d = p - unrestricted_price(prim)
+    wt = prim.net.spectrum.eigenvectors.T
+    e = np.empty_like(d)
+    for row, out in zip(d.reshape(-1, prim.n), e.reshape(-1, prim.n)):
+        np.matmul(wt, row, out=out)
+    r_v, r_pi = spectral_ratios(prim, e)
+    return _scalar_or_rows(p, r_v), _scalar_or_rows(p, r_pi)
+
+
+def a_statistic(prim: MarketPrimitives, p):
     """Eigencentrality-weighted average price deviation, normalised.
 
     ``A(p) = <w1, p - p_ur> / <w1, (a-c)/2>``; the denominator is positive
-    because ``w1 > 0`` and ``a > c``.
+    because ``w1 > 0`` and ``a > c``.  Row-wise: prices as rows give an
+    array.
     """
-    p = _check_price(prim, p)
+    p = _check_rows(prim, p)
     w1 = eigencentrality(prim.net)
     denom = float(w1 @ half_gap(prim))
     if not denom > 0.0:
         raise InvariantError(f"centrality-weighted markup {denom!r} must be positive")
-    return float(w1 @ (p - unrestricted_price(prim))) / denom
+    return _scalar_or_rows(p, np.vecdot(w1, p - unrestricted_price(prim)) / denom)
 
 
 def limit_ratios(a_stat: float, allow_out_of_range: bool = False) -> tuple[float, float]:

@@ -10,8 +10,9 @@ In the eigenbasis of ``G`` the shift acts coordinatewise,
 ``p_hat_i = p_ur_hat_i - rho_i(eta) * d_hat_i`` with
 ``rho_i(eta) = eta / (2 - 2*delta*lambda_i - eta)`` and ``d = (a-c)/2``,
 which is how all routines here evaluate it: both welfare ratios of a
-frontier price come from :func:`netreg.market.spectral_ratios` at the
-spectral deviation ``e = -rho*d_hat``.  The surplus-maximising branch
+frontier price come from :func:`netreg.market.surplus_ratio` and
+:func:`netreg.market.profit_ratio` at the spectral deviation
+``e = -rho*d_hat``.  The surplus-maximising branch
 runs over ``eta in [0, eta_hat_plus]`` where ``eta_hat_plus`` solves
 ``R_Pi = 0``; the surplus-minimising branch runs to ``eta = -inf`` and is
 parametrised by ``u = -eta/(2-eta) in [0, 1]`` (``u = 1`` gives price
@@ -32,9 +33,17 @@ would leave it, converge to machine precision, on the desk experiments in
 under two evaluations per root on average.  A Ramsey cross-check recovers
 the same prices from the weighted objective ``profit + eta * surplus``
 through an independent dense solve.
+
+The root is solved row-wise, in one routine, :func:`frontier_rows`: one row
+per profit ratio, at one spillover (``frontier``, and a single point as the
+block of one row) or at one spillover per row (a block of sweep rows, from
+:func:`netreg.market.spillover_rows`).  Every row takes its own Newton
+steps with elementwise numpy and ``np.vecdot``, and leaves the evaluated
+rows once it converges, so its bits do not depend on the other rows.  A row
+that fails is reported by row, not raised, so that a sweep can name the
+first failing spillover; the single-point functions raise it.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +54,7 @@ from .errors import (
     OutOfRangeError,
     SingularSystemError,
 )
-from .market import MarketPrimitives, half_gap, spectral_ratios, unrestricted_price
+from .market import MarketPrimitives, half_gap, profit_ratio, surplus_ratio, unrestricted_price
 
 RESIDUAL_TOL = 1e-12
 ROOT_RTOL = 1e-13
@@ -84,8 +93,6 @@ def _rho_minus_u(prim, u):
     return -u / ((1.0 - k) + k * u)  # no cancellation in 1 - k*(1-u) near the bound
 
 
-def _ratios_of_rho(prim, rho):
-    return spectral_ratios(prim, -rho * prim.half_gap_hat)
 
 
 def _price_of_rho(prim, rho):
@@ -106,64 +113,83 @@ def pareto_price_minus(prim: MarketPrimitives, u: float) -> np.ndarray:
     return _price_of_rho(prim, _rho_minus_u(prim, u))
 
 
-def _newton_root(g, lo, hi, x, what):
-    """Root of an increasing function on ``[lo, hi]`` by Newton steps from x.
+def _newton_root(g, lo, hi, x):
+    """Row-wise roots of increasing functions on ``[lo, hi]`` by Newton steps
+    from x.
 
-    ``g(x)`` returns the value and the slope.  Each evaluation shrinks the
-    bracket to the side of x that still holds the root; a Newton step that
-    would leave the bracket is replaced by bisection.  Returns the next
-    iterate once it moves x by at most ``ROOT_RTOL`` relative.
+    ``g(x, rows)`` returns the value and the slope of each row in ``rows``
+    (indices, or a slice while every row is open) at its x.  Each evaluation
+    shrinks a row's bracket to the side of x that still holds its root; a
+    Newton step that would leave the bracket, as one with a zero or NaN
+    slope does, is replaced by bisection.  A row ends at the next iterate
+    once that moves x by at most ``ROOT_RTOL`` relative, or at x if its
+    value is zero, and is not evaluated again; a row whose bracket is one
+    point ends there unevaluated, as Newton would.  Returns the roots and
+    the rows still open after ``MAX_ROOT_STEPS`` evaluations, whose roots
+    are NaN.
     """
+    root = x.copy()
+    rows = (~(hi <= lo)).nonzero()[0]
+    if rows.size < root.size:
+        x, lo, hi = x[rows], lo[rows], hi[rows]
     for _ in range(MAX_ROOT_STEPS):
-        value, slope = g(x)
-        if value == 0.0:
-            return x
-        if value > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = x - value / slope if slope > 0.0 else np.nan
-        if not lo < step < hi:  # also true for nan
-            step = 0.5 * (lo + hi)
-        if abs(step - x) <= ROOT_RTOL * abs(step):
-            return step
+        if not rows.size:
+            return root, rows
+        value, slope = g(x, rows if rows.size < root.size else slice(None))  # a view while all are open
+        above = value > 0.0
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        step = x - value / slope
+        inside = (lo < step) & (step < hi)
+        if False in inside.tolist():  # a zero value leaves its step at x = lo, outside too
+            step = np.where(inside, step, np.where(value == 0.0, x, 0.5 * (lo + hi)))
+        done = np.abs(step - x) <= ROOT_RTOL * np.abs(step)
+        flags = done.tolist()
+        if all(flags):
+            root[rows] = step
+            return root, rows[:0]
+        if any(flags):
+            root[rows[done]] = step[done]
+            open_ = ~done
+            rows, step, lo, hi = rows[open_], step[open_], lo[open_], hi[open_]
         x = step
-    raise NoConvergenceError(f"{what}: no root after {MAX_ROOT_STEPS} steps")
+    root[rows] = np.nan
+    return root, rows
 
 
-def eta_of_rho1(prim: MarketPrimitives, t: float) -> float:
+def eta_of_rho1(prim: MarketPrimitives, t):
     """The eta at which ``rho_1 = t``: ``s_1 t / (1 + t)`` for ``t > -1``."""
     return eta_max(prim) * t / (1.0 + t)
 
 
 def _rho1_coordinate(prim):
-    """``(s / s_1, q)`` for the family in ``t = rho_1 = eta/(s_1 - eta)``.
+    """``(s_1, s - s_1, s / s_1)`` for the family in ``t = rho_1 = eta/(s_1 - eta)``.
 
     With ``s_i = 2 - 2*delta*lambda_i``, ``rho_i = t q_i(t)`` where
-    ``q_i(t) = s_1 / (s_1 + (s_i - s_1)(1+t))`` for every ``t >= -1``;
-    ``s_i - s_1 = 2*delta*(lambda_1 - lambda_i) >= 0``, so ``|rho_i| <= |t|``
-    and ``d rho_i / dt = q_i^2 s_i / s_1``.
+    ``q_i(t) = s_1 / (s_1 + (s_i - s_1)(1+t))`` for every ``t >= -1``
+    (:func:`_q`); ``s_i - s_1 = 2*delta*(lambda_1 - lambda_i) >= 0``, so
+    ``|rho_i| <= |t|`` and ``d rho_i / dt = q_i^2 s_i / s_1``.
     """
     lam = prim.net.spectrum.eigenvalues
     s1 = eta_max(prim)
     gaps = 2.0 * prim.delta * (lam[0] - lam)
+    return s1, gaps, 1.0 + gaps / s1
 
-    def q_of(t):
-        return s1 / (s1 + gaps * (1.0 + t))
 
-    return 1.0 + gaps / s1, q_of
+def _q(s1, gaps, t):
+    return s1 / (s1 + gaps * (1.0 + t))
 
 
 def family_deviation(prim: MarketPrimitives, t: float) -> np.ndarray:
     """Spectral deviation ``e = -rho(t) * d_hat`` of the family price with
     ``rho_1 = t >= -1``, in the same coordinate as the frontier root."""
-    _, q_of = _rho1_coordinate(prim)
-    return -t * q_of(t) * prim.half_gap_hat
+    s1, gaps, _ = _rho1_coordinate(prim)
+    return -t * _q(s1, gaps, t) * prim.half_gap_hat
 
 
 def _rho1_root(prim, tau, branch):
     """``v = |rho_1|`` at which ``||sqrt(b) * rho|| = sqrt(1 - tau)``, with
-    ``t = v`` on the ``'plus'`` branch and ``t = -v`` on the ``'minus'`` one.
+    ``t = v`` on the ``'plus'`` branch and ``t = -v`` on the ``'minus'`` one,
+    for each row of ``tau``.
 
     ``|rho_i| = v q_i(+-v)`` and ``d|rho_i|/dv = q_i^2 s_i / s_1`` on both
     sides.  ``q_1 = 1`` and, over t, every other ``q_i`` falls from 1 at
@@ -175,63 +201,101 @@ def _rho1_root(prim, tau, branch):
     starts at the high end.  Upper ends are padded by ``ROOT_RTOL`` against
     rounding.  The profit-ratio residual at the returned v is the guard: a
     bracket that missed the root would end Newton at one of its ends, where
-    the residual check fails.
+    the residual check fails.  Returns v and ``{row: NoConvergenceError}``.
     """
     base = prim.h_hat * prim.half_gap_hat**2
-    b = base / base.sum()
-    target = math.sqrt(1.0 - tau)
+    b = base / base.sum(axis=-1, keepdims=True)
+    target = np.sqrt(1.0 - tau)
     pad = 1.0 + ROOT_RTOL
-    growth, q_of = _rho1_coordinate(prim)
-    kappa = math.sqrt(float(b @ q_of(0.0) ** 2))
+    s1, gaps, growth = _rho1_coordinate(prim)
+    kappa = np.sqrt(np.vecdot(b, _q(s1, gaps, 0.0) ** 2))
     if branch == "plus":
-        sign, what = 1.0, "eta solve (plus branch)"
-        lo, hi = target / kappa, target / math.sqrt(float(b[0])) * pad
+        shift, what = np.add, "eta solve (plus branch)"  # 1 + t with t = v
+        lo, hi = target / kappa, target / np.sqrt(b[..., 0]) * pad
         start = lo
     else:
-        sign, what = -1.0, "u solve (minus branch)"
-        lo, hi = target, min(1.0, target / kappa * pad)
+        shift, what = np.subtract, "u solve (minus branch)"  # 1 + t with t = -v
+        lo, hi = target, np.minimum(1.0, target / kappa * pad)
         start = hi
+    per_row = (s1, gaps, growth, b)
+    shared = np.ndim(s1) < 2  # one spillover for every row
 
-    def rho_of(v):  # |rho| and its slope in v
-        q = q_of(sign * v)
-        return v * q, q * q * growth
+    def rho_of(v, rows):  # |rho| and its slope in v, and the weights b
+        s1_, gaps_, growth_, b_ = per_row if shared else [a[rows] for a in per_row]
+        v = v[:, None]
+        q = s1_ / (s1_ + gaps_ * shift(1.0, v))
+        return v * q, q * q * growth_, b_
 
-    def g(v):
-        rho, slope = rho_of(v)
-        norm = math.sqrt(float(b @ (rho * rho)))
-        return norm - target, float(b @ (rho * slope)) / norm
+    def g(v, rows):
+        rho, slope, b_ = rho_of(v, rows)
+        norm = np.sqrt(np.vecdot(b_, rho * rho))
+        return norm - target[rows], np.vecdot(b_, rho * slope) / norm
 
-    v = _newton_root(g, lo, hi, start, what)
-    residual = _ratios_of_rho(prim, rho_of(v)[0])[1] - tau  # |rho| suffices
-    if abs(residual) > RESIDUAL_TOL:
-        raise NoConvergenceError(f"{what}: profit-ratio residual {residual!r}")
-    return v
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN slope bisects
+        v, open_rows = _newton_root(g, lo, hi, start)
+    failures = {int(i): NoConvergenceError(f"{what}: no root after {MAX_ROOT_STEPS} steps") for i in open_rows}
+    residual = profit_ratio(prim, -rho_of(v, slice(None))[0] * prim.half_gap_hat) - tau  # |rho| suffices
+    for i in (np.abs(residual) > RESIDUAL_TOL).nonzero()[0]:
+        failures.setdefault(int(i), NoConvergenceError(f"{what}: profit-ratio residual {float(residual[i])!r}"))
+    return v, failures
 
 
-def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
+def frontier_rows(prim: MarketPrimitives, tau: np.ndarray, branch: str):
+    """The frontier point on one branch at each profit ratio in ``tau``.
+
+    Row i is at the spillover of ``prim``, or at its own when ``prim`` comes
+    from :func:`netreg.market.spillover_rows`.  Returns
+    ``(parameter, rho, R_V, failures)``: eta on the ``'plus'`` branch and
+    the bounded parameter u on the ``'minus'`` one, the spectral weights and
+    the surplus ratio of each point, and ``{row: error}`` for the rows that
+    fail, each by its first failing check: tau outside [0, 1]
+    (``OutOfRangeError``), then the root (``NoConvergenceError``).  The
+    values of a failed row are meaningless.
+    """
+    if branch not in ("plus", "minus"):
+        raise OutOfRangeError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    valid = (0.0 <= tau) & (tau <= 1.0)
+    v, failures = _rho1_root(prim, np.where(valid, tau, 1.0), branch)
+    for i in (~valid).nonzero()[0]:
+        failures[int(i)] = OutOfRangeError(f"tau={float(tau[i])!r} must lie in [0, 1]")
+    v = v[:, None]
+    if branch == "plus":
+        param = eta_of_rho1(prim, v)
+        rho = _rho_plus(prim, param)
+    else:
+        s1 = eta_max(prim)
+        param = s1 * v / (2.0 * (1.0 - v) + s1 * v)
+        rho = _rho_minus_u(prim, param)
+    return param[:, 0], rho, surplus_ratio(prim, -rho * prim.half_gap_hat), failures
+
+
+def _point(prim, tau, branch):
+    """(parameter, R_V) of the frontier point on one branch at tau, a
+    number or an array; the first failing row raises its error."""
+    taus = np.asarray(tau, dtype=float)
+    param, _, r_v, failures = frontier_rows(prim, taus.reshape(-1), branch)
+    if failures:
+        raise failures[min(failures)]
+    if taus.ndim == 0:
+        return float(param[0]), float(r_v[0])
+    return param, r_v
+
+
+def solve_eta_for_tau(prim: MarketPrimitives, tau, branch: str):
     """Root of ``R_Pi(p(.)) = tau`` on one branch.
 
     Returns eta for ``branch='plus'`` and the bounded parameter u for
-    ``branch='minus'``.
+    ``branch='minus'``; an array of tau gives an array.
 
     Solves ``||sqrt(b) * rho|| = sqrt(1 - tau)`` with
     ``b = h*dhat^2 / sum(h*dhat^2)``, so that
     ``R_Pi = 1 - ||sqrt(b) * rho||^2``.  Unlike ``R_Pi = tau`` this form
     keeps its relative accuracy as tau -> 1.  Both branches are solved in
     ``v = |rho_1|``; the minimising branch maps the root to
-    ``u = s_1 v / (2(1-v) + s_1 v)``.
+    ``u = s_1 v / (2(1-v) + s_1 v)``.  At tau = 1 the root is v = 0, so
+    eta and u are exactly 0.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise OutOfRangeError(f"tau={tau!r} must lie in [0, 1]")
-    if branch not in ("plus", "minus"):
-        raise OutOfRangeError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    if tau == 1.0:
-        return 0.0
-    v = _rho1_root(prim, tau, branch)
-    if branch == "plus":
-        return eta_of_rho1(prim, v)
-    s1 = eta_max(prim)
-    return s1 * v / (2.0 * (1.0 - v) + s1 * v)
+    return _point(prim, tau, branch)[0]
 
 
 def eta_hat_plus(prim: MarketPrimitives) -> float:
@@ -239,19 +303,18 @@ def eta_hat_plus(prim: MarketPrimitives) -> float:
     return solve_eta_for_tau(prim, 0.0, "plus")
 
 
-def rv_plus(prim: MarketPrimitives, tau: float) -> float:
-    """R_V_plus: the largest surplus ratio achievable at profit ratio tau."""
-    eta = solve_eta_for_tau(prim, tau, "plus")
-    return _ratios_of_rho(prim, _rho_plus(prim, eta))[0]
+def rv_plus(prim: MarketPrimitives, tau):
+    """R_V_plus: the largest surplus ratio achievable at profit ratio tau
+    (an array of tau gives an array)."""
+    return _point(prim, tau, "plus")[1]
 
 
-def rv_bounds(prim: MarketPrimitives, tau: float) -> tuple[float, float]:
+def rv_bounds(prim: MarketPrimitives, tau):
     """(R_V_minus, R_V_plus): the surplus ratios achievable at profit ratio tau.
 
     Every surplus ratio between the two is feasible at that profit level.
     """
-    u = solve_eta_for_tau(prim, tau, "minus")
-    return _ratios_of_rho(prim, _rho_minus_u(prim, u))[0], rv_plus(prim, tau)
+    return _point(prim, tau, "minus")[1], rv_plus(prim, tau)
 
 
 def ramsey_price(prim: MarketPrimitives, eta_plus: float) -> np.ndarray:
@@ -286,24 +349,26 @@ def frontier(prim: MarketPrimitives, tau_grid=None) -> list[ParetoPoint]:
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.size == 0 or np.any(tau_grid < 0.0) or np.any(tau_grid > 1.0):
         raise OutOfRangeError("tau grid must be nonempty and lie within [0, 1]")
-    points = []
-    for tau in tau_grid:
-        eta = solve_eta_for_tau(prim, float(tau), "plus")
-        u = solve_eta_for_tau(prim, float(tau), "minus")
-        rho_p = _rho_plus(prim, eta)
-        rho_m = _rho_minus_u(prim, u)
-        points.append(
-            ParetoPoint(
-                tau=float(tau),
-                eta_plus=eta,
-                eta_minus_u=u,
-                price_plus=_price_of_rho(prim, rho_p),
-                price_minus=_price_of_rho(prim, rho_m),
-                r_v_plus=_ratios_of_rho(prim, rho_p)[0],
-                r_v_minus=_ratios_of_rho(prim, rho_m)[0],
-            )
+    eta, rho_p, r_v_plus, plus_failures = frontier_rows(prim, tau_grid, "plus")
+    u, rho_m, r_v_minus, minus_failures = frontier_rows(prim, tau_grid, "minus")
+    if plus_failures or minus_failures:  # the first tau's, the plus branch's first
+        failures = [(i, 0, err) for i, err in plus_failures.items()]
+        failures += [(i, 1, err) for i, err in minus_failures.items()]
+        raise min(failures, key=lambda f: f[:2])[2]
+    return [
+        ParetoPoint(
+            tau=t,
+            eta_plus=e,
+            eta_minus_u=m,
+            price_plus=_price_of_rho(prim, rp),
+            price_minus=_price_of_rho(prim, rm),
+            r_v_plus=vp,
+            r_v_minus=vm,
         )
-    return points
+        for t, e, m, rp, rm, vp, vm in zip(
+            tau_grid.tolist(), eta.tolist(), u.tolist(), rho_p, rho_m, r_v_plus.tolist(), r_v_minus.tolist()
+        )
+    ]
 
 
 def frontier_limit(tau: float) -> float:

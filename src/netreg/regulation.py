@@ -50,6 +50,7 @@ from .errors import (
     EtaOutOfRangeError,
     InfeasibleError,
     InvariantError,
+    NetregError,
     NoConvergenceError,
     OutOfRangeError,
     UnsupportedRegulationError,
@@ -60,8 +61,9 @@ from .market import (
     WelfareOutcome,
     half_gap,
     limit_ratios,
+    profit_ratio,
     ratios,
-    spectral_ratios,
+    spillover_rows,
     unrestricted_price,
     welfare_outcome,
 )
@@ -492,7 +494,7 @@ def pareto_certificate(prim: MarketPrimitives, k: RegulationSet) -> Certificate:
     t = -float(e[0]) / float(prim.half_gap_hat[0])
     if t < 0.0:
         return Certificate(False, reason="equilibrium sits above the unrestricted price on average")
-    if spectral_ratios(prim, e)[1] < -1e-12:
+    if profit_ratio(prim, e) < -1e-12:
         return Certificate(False, reason="equilibrium profit is negative, past the frontier's end")
     tol = MEMBERSHIP_TOL + 64.0 * np.finfo(float).eps / (1.0 - prim.delta * prim.net.lambda1)
     miss = float(np.linalg.norm(e - paretomod.family_deviation(prim, t)))
@@ -595,26 +597,48 @@ def classify_limit(prim: MarketPrimitives, k: RegulationSet) -> LimitClassificat
     )
 
 
-def gap_parts(prim: MarketPrimitives, k: RegulationSet) -> tuple[np.ndarray, float, float, float]:
-    """``(p*, R_V(p*), tau*, R_V_plus(tau*))``: the equilibrium price, its
-    welfare ratios and the frontier surplus ratio at its profit ratio.
+def gap_parts(prims, k: RegulationSet):
+    """``(p*, R_V(p*), tau*, R_V_plus(tau*), failure)`` for a block of rows:
+    the equilibrium prices, their welfare ratios and the frontier surplus
+    ratio at each equilibrium profit ratio tau*.
 
-    The profit ratio tau* is clamped to [0, 1] before the frontier solve; one
-    below -1e-9 raises ``OutOfRangeError``, since the frontier is undefined
-    there.
+    ``prims`` yields the market of each row in turn (the same market at one
+    spillover per row).  Each row is projected in turn until a market or its
+    projection fails; the rest is evaluated for all projected rows at once.
+    ``failure`` is None, or ``(row, error)`` for the first row that fails, by
+    its first failing check: its market or projection, tau* below -1e-9
+    (``OutOfRangeError``: the frontier is undefined there), then the
+    frontier solve at tau* clamped to [0, 1].  The arrays hold the rows
+    before it.
     """
-    p_star = project(prim, k)
-    r_v_star, tau_star = ratios(prim, p_star)
-    if tau_star < -1e-9:
-        raise OutOfRangeError(
-            f"equilibrium profit ratio {tau_star!r} is negative; frontier undefined there"
+    markets, prices, failure = [], [], None
+    try:
+        for prim in prims:
+            prices.append(project(prim, k))
+            markets.append(prim)
+    except NetregError as err:
+        failure = (len(markets), err)
+    if not markets:
+        return np.empty((0, 0)), np.empty(0), np.empty(0), np.empty(0), failure
+    block = spillover_rows(markets)
+    p_star = np.array(prices)
+    r_v_star, tau_star = ratios(block, p_star)
+    _, _, r_v_plus, failures = paretomod.frontier_rows(block, np.minimum(np.maximum(tau_star, 0.0), 1.0), "plus")
+    for i in (tau_star < -1e-9).nonzero()[0]:
+        failures[int(i)] = OutOfRangeError(
+            f"equilibrium profit ratio {float(tau_star[i])!r} is negative; frontier undefined there"
         )
-    r_v_plus = paretomod.rv_plus(prim, min(max(tau_star, 0.0), 1.0))
-    return p_star, r_v_star, tau_star, r_v_plus
+    if failures:
+        first = min(failures)
+        failure = (first, failures[first])
+        p_star, r_v_star, tau_star, r_v_plus = p_star[:first], r_v_star[:first], tau_star[:first], r_v_plus[:first]
+    return p_star, r_v_star, tau_star, r_v_plus, failure
 
 
 def gap(prim: MarketPrimitives, k: RegulationSet) -> float:
     """Vertical distance ``R_V_plus(tau*) - R_V(p*)`` from the equilibrium
     surplus ratio to the frontier (nonnegative up to root tolerance)."""
-    _, r_v_star, _, r_v_plus = gap_parts(prim, k)
-    return r_v_plus - r_v_star
+    _, r_v_star, _, r_v_plus, failure = gap_parts([prim], k)
+    if failure:
+        raise failure[1]
+    return float(r_v_plus[0] - r_v_star[0])

@@ -6,8 +6,17 @@ ratios and the average-deviation statistic, solves the frontier point at
 the equilibrium profit ratio, and reports the vertical gap to it.  One
 market is built per sweep and each row takes it to its spillover with
 ``MarketPrimitives.at``, so the delta-independent spectral data is formed
-once; nothing else carries from row to row, and every row equals the
-single-point ``gap`` at its spillover bit for bit.
+once.
+
+The grid runs in blocks of ``BLOCK_ELEMENTS // n`` rows, so memory does not
+grow with the grid.  ``regulation.gap_parts`` projects a block's rows one
+by one, then evaluates the ratios, the frontier root and the gap for the
+whole block at once with the row-wise routines of ``market`` and
+``pareto``; ``a_statistic`` follows.  Nothing carries from row to row and
+a row's bits do not depend on its block, so every row equals the
+single-point ``gap``, ``ratios`` and ``a_statistic`` at its spillover bit
+for bit.  A failure names the first failing grid point: the rows before a
+failed projection are evaluated first.
 
 The named experiments reproduce the desk-scale figure data: the
 core-periphery uniform-pricing cases, the complete-graph control, the
@@ -19,10 +28,14 @@ from dataclasses import dataclass
 
 from .errors import NetregError, SweepError, UnknownExperimentError
 from .market import MarketPrimitives, a_statistic
-from .regulation import RegulationSet, gap_parts
+from .regulation import gap_parts
 from .scenario import Scenario, delta_grid, parse_scenario, scenario_text
 
 CSV_HEADER = "delta,r_v_star,r_pi_star,r_v_plus,a_stat,gap"
+
+# rows of a block evaluated at once: BLOCK_ELEMENTS // n, so that a block's
+# n-wide arrays take about 512 kB each whatever the grid's length
+BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -35,32 +48,36 @@ class SweepRow:
     gap: float
 
 
-def _row_at(prim: MarketPrimitives, regulation: RegulationSet) -> SweepRow:
-    p_star, r_v_star, r_pi_star, r_v_plus = gap_parts(prim, regulation)
-    return SweepRow(
-        delta=prim.delta,
-        r_v_star=r_v_star,
-        r_pi_star=r_pi_star,
-        r_v_plus=r_v_plus,
-        a_stat=a_statistic(prim, p_star),
-        gap=r_v_plus - r_v_star,
-    )
-
-
 def run_sweep(scenario: Scenario) -> list[SweepRow]:
     """One SweepRow per grid spillover, ordered ascending.
 
     A failure at any grid point, a negative equilibrium profit ratio
-    included, aborts the sweep with a ``SweepError`` naming the offending
-    value and the regulation kind.
+    included, aborts the sweep with a ``SweepError`` naming the first
+    offending value and the regulation kind.
     """
     market = MarketPrimitives(net=scenario.network, a=scenario.a, c=scenario.c, delta=0.0)
+    grid = delta_grid(scenario).tolist()
+    size = max(1, BLOCK_ELEMENTS // market.n)
     rows = []
-    for delta in delta_grid(scenario):
-        try:
-            rows.append(_row_at(market.at(float(delta)), scenario.regulation))
-        except NetregError as err:
-            raise SweepError(float(delta), err, scenario.regulation.kind) from err
+    for start in range(0, len(grid), size):
+        deltas = grid[start : start + size]
+        p_star, r_v_star, r_pi_star, r_v_plus, failure = gap_parts(
+            (market.at(delta) for delta in deltas), scenario.regulation
+        )
+        if len(p_star):  # its check fails at every row or none, after the row's gap checks
+            try:
+                a_stat = a_statistic(market, p_star)
+            except NetregError as err:
+                failure = (0, err)
+        if failure:
+            row, err = failure
+            raise SweepError(deltas[row], err, scenario.regulation.kind) from err
+        rows += [
+            SweepRow(delta=d, r_v_star=v, r_pi_star=pi, r_v_plus=vp, a_stat=a, gap=vp - v)
+            for d, v, pi, vp, a in zip(
+                deltas, r_v_star.tolist(), r_pi_star.tolist(), r_v_plus.tolist(), a_stat.tolist()
+            )
+        ]
     return rows
 
 

@@ -1,16 +1,21 @@
-"""Derandomised property tests of the projection (hypothesis).
+"""Derandomised property tests of the projection and the sweep (hypothesis).
 
 Over random connected graphs of at most 12 markets and spillovers up to
 ``(1 - 1e-6) / lambda_1``, every box, difference-cap and halfspace
 projection is a price in its set, or raises ``InfeasibleError`` exactly
 when ``scipy.optimize.linprog`` finds the set empty; a box and the same
-floors and ceilings written as halfspaces give one price.
+floors and ceilings written as halfspaces give one price.  Under every
+regulation kind, a sweep row has the same bits whether its grid is swept
+whole, shuffled, cut into pieces or evaluated one point at a time, and a
+row that fails fails with the single point's error.
 """
 
 import numpy as np
 import pytest
 
 import netreg
+from netreg.regulation import gap_parts
+from netreg.scenario import Scenario
 
 pytest.importorskip("hypothesis")
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -118,3 +123,94 @@ def test_box_and_its_halfspaces_give_one_price(data):
     expected = netreg.project(prim, box)
     got = netreg.project(prim, _as_halfspaces(box))
     assert np.abs(got - expected).max() <= 1e-12 * max(1.0, float(np.abs(expected).max()))
+
+
+REGULATION_KINDS = ("unrestricted", "uniform", "box", "zero_caps", "difference", "average", "halfspaces")
+
+
+@st.composite
+def regulations(draw, prim, kind):
+    """A regulation of the kind, binding or not, feasible or (for
+    halfspaces) possibly empty."""
+    n = prim.n
+    if kind == "unrestricted":
+        return netreg.Unrestricted()
+    if kind == "uniform":
+        return netreg.Uniform()
+    if kind == "box":
+        return draw(boxes(n))
+    if kind == "zero_caps":
+        return netreg.PriceDifference(delta_matrix=np.zeros((n, n)))
+    if kind == "difference":
+        return draw(difference_caps(n))
+    if kind == "average":
+        theta = draw(_vector(n, 0.0, 1.0)) + 1e-3
+        theta /= theta.sum()
+        cap = draw(st.floats(-1.0, 1.2)) * float(theta @ netreg.unrestricted_price(prim))  # below 0.3 profit often turns negative
+        return netreg.AveragePrice(theta=theta, cap=cap)
+    return draw(halfspaces(prim))
+
+
+def _point(prim, k):
+    """A single point's (p*, R_V, R_Pi, A, gap) as bytes, or its error's
+    class and message."""
+    try:
+        p_star = netreg.project(prim, k)
+        gap = netreg.gap(prim, k)
+    except netreg.NetregError as err:
+        return type(err), str(err)
+    return np.array([*p_star, *netreg.ratios(prim, p_star), netreg.a_statistic(prim, p_star), gap]).tobytes()
+
+
+def _block(market, deltas, k):
+    """The rows of one ``gap_parts`` block over ``deltas`` in the single
+    point's form, up to and including the first failure."""
+    p_star, r_v, r_pi, r_v_plus, failure = gap_parts((market.at(d) for d in deltas), k)
+    a_stat = netreg.a_statistic(market, p_star) if len(p_star) else []
+    columns = np.column_stack([p_star, r_v, r_pi, a_stat, r_v_plus - r_v]) if len(p_star) else []
+    rows = [row.tobytes() for row in columns]
+    if failure:
+        rows.append((type(failure[1]), str(failure[1])))
+    return rows
+
+
+def _up_to_first_failure(rows):
+    return next((rows[: i + 1] for i, row in enumerate(rows) if isinstance(row, tuple)), rows)
+
+
+@pytest.mark.parametrize("kind", REGULATION_KINDS)
+@settings(PROPERTY_SETTINGS, max_examples=12)
+@given(st.data())
+def test_sweep_rows_do_not_depend_on_their_block(kind, data):
+    prim = data.draw(markets())
+    market = prim.at(0.0)
+    k = data.draw(regulations(prim, kind))
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0 - 1e-6), min_size=1, max_size=8))
+    deltas = list(dict.fromkeys(f / prim.net.lambda1 for f in fractions))
+    single = {d: _point(market.at(d), k) for d in deltas}
+    for d, row in single.items():
+        if not isinstance(row, tuple):
+            values = np.frombuffer(row)
+            assert values[-1] >= -1e-9  # gap
+            assert values[-3] <= 1.0 + 1e-12  # R_Pi
+    order = data.draw(st.permutations(deltas))
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, len(order) - 1), max_size=3)))) if len(order) > 1 else []
+    pieces = [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(order)])]
+    for block in [deltas, order, *pieces]:
+        assert _block(market, block, k) == _up_to_first_failure([single[d] for d in block])
+    # a sweep of an ascending grid names its first failing point
+    count = data.draw(st.integers(1, 8))
+    top = data.draw(st.floats(0.0, 1.0 - 1e-6))
+    scenario = Scenario(
+        network=prim.net, part1=None, a=prim.a, c=prim.c, regulation=k, grid_count=count, grid_max_fraction=top, raw={}
+    )
+    expected = _up_to_first_failure([_point(market.at(d), k) for d in netreg.delta_grid(scenario).tolist()])
+    try:
+        rows = netreg.run_sweep(scenario)
+    except netreg.SweepError as err:
+        assert isinstance(expected[-1], tuple)
+        assert (type(err.__cause__), str(err.__cause__)) == expected[-1]
+        assert err.delta == netreg.delta_grid(scenario)[len(expected) - 1]
+    else:
+        got = [np.array([*netreg.project(market.at(r.delta), k), r.r_v_star, r.r_pi_star, r.a_stat, r.gap]).tobytes() for r in rows]
+        assert got == expected

@@ -246,6 +246,41 @@ class TestSweep:
         assert err.value.kind == "box"
         assert f"delta={err.value.delta!r} (box): " in str(err.value)
 
+    @pytest.mark.parametrize(
+        "first, second, first_past_block",
+        [("profit", "projection", True), ("projection", "profit", True), ("profit", "projection", False)],
+    )
+    def test_failure_names_the_first_failing_point(self, monkeypatch, first, second, first_past_block):
+        # failures at two spillovers of a two-block sweep, the second past the
+        # first block's end: "profit" makes tau* negative (found after the
+        # block's projections), "projection" fails the projection itself
+        text = CP_UNIFORM.replace("core_size = 3", "core_size = 8").replace("periphery_per_core = 2", "periphery_per_core = 15")
+        n = 8 * 16
+        size = netreg.sweeps.BLOCK_ELEMENTS // n
+        scenario = parse_scenario(text.replace("count = 12", f"count = {size + 40}"))
+        assert scenario.network.n == n
+        grid = delta_grid(scenario).tolist()
+        named = grid[size + 5 if first_past_block else 3]
+        failures = {named: first, grid[size + 20]: second}
+        project = netreg.regulation.project
+
+        def failing(prim, k):
+            failure = failures.get(prim.delta)
+            if failure == "projection":
+                raise netreg.InfeasibleError(f"no price at delta={prim.delta!r}")
+            return 100.0 * prim.a if failure == "profit" else project(prim, k)
+
+        monkeypatch.setattr(netreg.regulation, "project", failing)
+        with pytest.raises(netreg.SweepError) as err:
+            netreg.run_sweep(scenario)
+        assert err.value.delta == named
+        prim = netreg.MarketPrimitives(net=scenario.network, a=scenario.a, c=scenario.c, delta=named)
+        with pytest.raises(netreg.NetregError) as single:
+            netreg.gap(prim, scenario.regulation)
+        assert type(single.value) is (netreg.InfeasibleError if first == "projection" else netreg.OutOfRangeError)
+        assert type(err.value.__cause__) is type(single.value)
+        assert str(err.value.__cause__) == str(single.value)
+
     def test_rows_match_single_point_api(self):
         scenarios = [parse_scenario(CP_UNIFORM), parse_scenario(INLINE), parse_scenario(AVERAGE)]
         scenarios += experiment_scenarios("figB2b", count=6).values()

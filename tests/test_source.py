@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import sys
 
@@ -90,3 +92,18 @@ def test_no_environment_reads():
         or (isinstance(node, (ast.Import, ast.ImportFrom)) and any(alias.name in env for alias in node.names))
     ]
     assert reads == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's traced run wraps these library functions by module and name
+    path = SRC.parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.LIBRARY_LAYERS
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in spans.LIBRARY_LAYERS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
