@@ -93,8 +93,6 @@ def _rho_minus_u(prim, u):
     return -u / ((1.0 - k) + k * u)  # no cancellation in 1 - k*(1-u) near the bound
 
 
-
-
 def _price_of_rho(prim, rho):
     return unrestricted_price(prim) - prim.net.spectrum.eigenvectors @ (rho * prim.half_gap_hat)
 
@@ -218,25 +216,25 @@ def _rho1_root(prim, tau, branch):
         lo, hi = target, np.minimum(1.0, target / kappa * pad)
         start = hi
     per_row = (s1, gaps, growth, b)
-    shared = np.ndim(s1) < 2  # one spillover for every row
+    shared = not isinstance(s1, np.ndarray)  # one spillover for every row
 
-    def rho_of(v, rows):  # |rho| and its slope in v, and the weights b
+    def rho_of(v, rows):  # |rho|, q, and the growth and weights b of the rows
         s1_, gaps_, growth_, b_ = per_row if shared else [a[rows] for a in per_row]
         v = v[:, None]
         q = s1_ / (s1_ + gaps_ * shift(1.0, v))
-        return v * q, q * q * growth_, b_
+        return v * q, q, growth_, b_
 
     def g(v, rows):
-        rho, slope, b_ = rho_of(v, rows)
+        rho, q, growth_, b_ = rho_of(v, rows)
         norm = np.sqrt(np.vecdot(b_, rho * rho))
-        return norm - target[rows], np.vecdot(b_, rho * slope) / norm
+        return norm - target[rows], np.vecdot(b_, rho * (q * q * growth_)) / norm
 
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero or NaN slope bisects
         v, open_rows = _newton_root(g, lo, hi, start)
-    failures = {int(i): NoConvergenceError(f"{what}: no root after {MAX_ROOT_STEPS} steps") for i in open_rows}
-    residual = profit_ratio(prim, -rho_of(v, slice(None))[0] * prim.half_gap_hat) - tau  # |rho| suffices
-    for i in (np.abs(residual) > RESIDUAL_TOL).nonzero()[0]:
-        failures.setdefault(int(i), NoConvergenceError(f"{what}: profit-ratio residual {float(residual[i])!r}"))
+    failures = {i: NoConvergenceError(f"{what}: no root after {MAX_ROOT_STEPS} steps") for i in open_rows.tolist()}
+    residual = profit_ratio(prim, rho_of(v, slice(None))[0] * prim.half_gap_hat) - tau  # the sign of e cancels
+    for i in (np.abs(residual) > RESIDUAL_TOL).nonzero()[0].tolist():
+        failures.setdefault(i, NoConvergenceError(f"{what}: profit-ratio residual {float(residual[i])!r}"))
     return v, failures
 
 
@@ -256,8 +254,8 @@ def frontier_rows(prim: MarketPrimitives, tau: np.ndarray, branch: str):
         raise OutOfRangeError(f"branch must be 'plus' or 'minus', got {branch!r}")
     valid = (0.0 <= tau) & (tau <= 1.0)
     v, failures = _rho1_root(prim, np.where(valid, tau, 1.0), branch)
-    for i in (~valid).nonzero()[0]:
-        failures[int(i)] = OutOfRangeError(f"tau={float(tau[i])!r} must lie in [0, 1]")
+    for i in (~valid).nonzero()[0].tolist():
+        failures[i] = OutOfRangeError(f"tau={float(tau[i])!r} must lie in [0, 1]")
     v = v[:, None]
     if branch == "plus":
         param = eta_of_rho1(prim, v)
@@ -270,22 +268,19 @@ def frontier_rows(prim: MarketPrimitives, tau: np.ndarray, branch: str):
 
 
 def _point(prim, tau, branch):
-    """(parameter, R_V) of the frontier point on one branch at tau, a
-    number or an array; the first failing row raises its error."""
-    taus = np.asarray(tau, dtype=float)
-    param, _, r_v, failures = frontier_rows(prim, taus.reshape(-1), branch)
+    """(parameter, R_V) of the frontier point on one branch at tau, the
+    block of one row; its failure raises."""
+    param, _, r_v, failures = frontier_rows(prim, np.array([float(tau)]), branch)
     if failures:
-        raise failures[min(failures)]
-    if taus.ndim == 0:
-        return float(param[0]), float(r_v[0])
-    return param, r_v
+        raise failures[0]
+    return float(param[0]), float(r_v[0])
 
 
-def solve_eta_for_tau(prim: MarketPrimitives, tau, branch: str):
+def solve_eta_for_tau(prim: MarketPrimitives, tau: float, branch: str) -> float:
     """Root of ``R_Pi(p(.)) = tau`` on one branch.
 
     Returns eta for ``branch='plus'`` and the bounded parameter u for
-    ``branch='minus'``; an array of tau gives an array.
+    ``branch='minus'``.
 
     Solves ``||sqrt(b) * rho|| = sqrt(1 - tau)`` with
     ``b = h*dhat^2 / sum(h*dhat^2)``, so that
@@ -303,13 +298,12 @@ def eta_hat_plus(prim: MarketPrimitives) -> float:
     return solve_eta_for_tau(prim, 0.0, "plus")
 
 
-def rv_plus(prim: MarketPrimitives, tau):
-    """R_V_plus: the largest surplus ratio achievable at profit ratio tau
-    (an array of tau gives an array)."""
+def rv_plus(prim: MarketPrimitives, tau: float) -> float:
+    """R_V_plus: the largest surplus ratio achievable at profit ratio tau."""
     return _point(prim, tau, "plus")[1]
 
 
-def rv_bounds(prim: MarketPrimitives, tau):
+def rv_bounds(prim: MarketPrimitives, tau: float) -> tuple[float, float]:
     """(R_V_minus, R_V_plus): the surplus ratios achievable at profit ratio tau.
 
     Every surplus ratio between the two is feasible at that profit level.

@@ -624,8 +624,8 @@ def gap_parts(prims, k: RegulationSet):
     p_star = np.array(prices)
     r_v_star, tau_star = ratios(block, p_star)
     _, _, r_v_plus, failures = paretomod.frontier_rows(block, np.minimum(np.maximum(tau_star, 0.0), 1.0), "plus")
-    for i in (tau_star < -1e-9).nonzero()[0]:
-        failures[int(i)] = OutOfRangeError(
+    for i in (tau_star < -1e-9).nonzero()[0].tolist():
+        failures[i] = OutOfRangeError(
             f"equilibrium profit ratio {float(tau_star[i])!r} is negative; frontier undefined there"
         )
     if failures:

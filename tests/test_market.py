@@ -193,6 +193,13 @@ class TestRatios:
             _, r_pi = netreg.ratios(prim, p)
             assert r_pi <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33, 100, 301, 1000])
+    def test_vecdot_row_is_the_one_vector_dot(self, rng, n):
+        # the row-wise ratios take each dot product as one np.vecdot row
+        x, y = rng.normal(size=(2, 5, n))
+        rows = np.vecdot(x, y).tolist()
+        assert rows == [float(u @ v) for u, v in zip(x, y)]
+
 
 class TestAStatistic:
     def test_anchor_points(self, rng):
