@@ -38,11 +38,15 @@ The welfare routines are row-wise: given prices as rows, :func:`ratios` and
 the market at a block of spillovers, one per row, as primitives whose
 ``delta`` is a column and whose ``h_hat`` has one row per spillover; every
 routine that reads ``delta`` or ``h_hat`` then evaluates each row at its own
-spillover.  A row's bits do not depend on the other rows: products are
-elementwise, sums run along a row, each dot product is one ``np.vecdot``
-row (the same BLAS dot as ``x @ y``), and ``W'(p - p_ur)`` is one gemv per
-row (a gemm over the rows would round differently).  A single price is the
-block of one row, through the same code.
+spillover.  That includes the closed-form projections of
+:func:`netreg.regulation.project` (unrestricted, uniform, zero caps, a
+point box, an average-price cap), which price a whole block in one call;
+an active-set projection takes one market per row.  A row's bits do not
+depend on the other rows: products are elementwise, sums run along a row,
+each dot product is one ``np.vecdot`` row (the same BLAS dot as
+``x @ y``), and ``W'(p - p_ur)`` is one gemv per row (a gemm over the rows
+would round differently).  A single price is the block of one row, through
+the same code.
 """
 
 from dataclasses import dataclass
@@ -175,8 +179,10 @@ def spillover_rows(prims) -> MarketPrimitives:
     checked at its spillover.  The result shares their delta-free caches; its
     ``delta`` is the column of their spillovers, so its ``h_hat`` has one row
     per spillover and every routine reading ``delta`` evaluates each row at
-    its own.  It is not a market for :func:`netreg.regulation.project`.
-    One market is its own block: its scalar ``delta`` serves its one row.
+    its own.  :func:`netreg.regulation.project` prices it only under a
+    closed-form regulation, one price per row; an active-set projection
+    takes one market.  One market is its own block: its scalar ``delta``
+    serves its one row.
     """
     if len(prims) == 1:
         return prims[0]

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EtaOutOfRangeError,
     NoConvergenceError,
     OutOfRangeError,
@@ -336,11 +337,14 @@ def frontier(prim: MarketPrimitives, tau_grid=None) -> list[ParetoPoint]:
     """One ParetoPoint per grid value, both branches pinned at each tau.
 
     Defaults to 101 uniform points on [0, 1], enough for smooth plots at
-    desk scale.
+    desk scale.  A grid that is not one-dimensional raises
+    ``DimensionMismatchError``.
     """
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 1.0, 101)
     tau_grid = np.asarray(tau_grid, dtype=float)
+    if tau_grid.ndim != 1:
+        raise DimensionMismatchError(f"tau grid shape {tau_grid.shape} must be one-dimensional")
     if tau_grid.size == 0 or np.any(tau_grid < 0.0) or np.any(tau_grid > 1.0):
         raise OutOfRangeError("tau grid must be nonempty and lie within [0, 1]")
     eta, rho_p, r_v_plus, plus_failures = frontier_rows(prim, tau_grid, "plus")

@@ -15,7 +15,8 @@ the feasible set.  Supported set kinds:
 Projection dispatch: Unrestricted and Uniform have closed forms (the
 uniform level is ``<1, H p_ur> / <1, H 1>``, summed in the eigenbasis), as
 do zero difference caps (the uniform line), a point box and AveragePrice (a
-single halfspace).
+single halfspace).  The closed forms are row-wise: given the block market
+of a sweep (one spillover per row), they price every row at once.
 Everything else is decomposed into halfspaces ``V p <= m``, one row per
 face, built by array indexing (``halfspace_form``), and projected by the
 Goldfarb-Idnani dual active-set method in the H metric, which needs only
@@ -379,10 +380,21 @@ def uniform_price(prim: MarketPrimitives) -> np.ndarray:
     ``sum(w*h*q) / sum(w^2*h)``, a quotient of forms in the same ``h`` like
     the welfare ratios, so it keeps their accuracy near the spectral bound.
     ``w`` and ``q`` do not depend on delta, so it costs O(n) per spillover.
+    Row-wise: a block market from :func:`netreg.market.spillover_rows` gets
+    one price per row, each level from one ``np.vecdot`` row at that row's
+    spillover, so a row's bits do not depend on its block.
     """
     w_h = prim.net.ones_hat * prim.h_hat
-    level = float(w_h @ prim.unrestricted_hat) / float(w_h @ prim.net.ones_hat)
-    return np.full(prim.n, level)
+    level = np.vecdot(w_h, prim.unrestricted_hat) / np.vecdot(w_h, prim.net.ones_hat)
+    return _rows(prim, level[..., None])
+
+
+def _rows(prim, price):
+    """``price`` on every row of ``prim``: ``(n,)`` for one market,
+    ``(m, n)`` for a block of m spillovers."""
+    rows = np.empty((*np.shape(prim.delta)[:-1], prim.n))
+    rows[...] = price
+    return rows
 
 
 def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
@@ -390,8 +402,10 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
 
     Closed forms handle the unrestricted, uniform, average-price,
     zero-cap-difference (which is the uniform line) and fixed-price (point
-    box) cases exactly.  Everything else runs the finite dual active-set
-    method over ``halfspace_form(k)``; it returns once no halfspace is
+    box) cases exactly, for one market or, row-wise, for every row of a
+    block market from :func:`netreg.market.spillover_rows` at once.
+    Everything else runs the finite dual active-set method over
+    ``halfspace_form(k)`` on one market; it returns once no halfspace is
     violated by more than ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``
     and raises ``InfeasibleError`` when the set is empty.
 
@@ -407,36 +421,47 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     return price
 
 
+def _closed_form(k: RegulationSet) -> bool:
+    """Whether ``project`` prices ``k`` in closed form, a block of rows at
+    once: unrestricted, uniform, zero difference caps (the uniform line), a
+    point box and an average-price cap (a single halfspace)."""
+    return (
+        isinstance(k, (Unrestricted, Uniform, AveragePrice))
+        or (isinstance(k, PriceDifference) and k.zero_caps)
+        or (isinstance(k, Box) and np.array_equal(k.lower, k.upper))
+    )
+
+
 def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     q = unrestricted_price(prim)
+    if not _closed_form(k):
+        if isinstance(prim.delta, np.ndarray):
+            raise UnsupportedRegulationError(f"kind {k.kind!r} has no closed form: project one market per row")
+        vmat, offsets = halfspace_form(k, prim.n)
+        if offsets.shape[0] == 0:
+            return q  # every bound infinite
+        return _active_set_projection(prim, vmat, offsets, q)
     if isinstance(k, Unrestricted):
-        return q
-    if isinstance(k, Uniform):
+        return _rows(prim, q)
+    if isinstance(k, PriceDifference):
+        _check_dim(k.delta_matrix.shape[0], prim.n)  # zero caps: the uniform-price line
+    if isinstance(k, (Uniform, PriceDifference)):
         return uniform_price(prim)
-    if isinstance(k, PriceDifference) and k.zero_caps:
-        # the set is exactly the uniform-price line
-        _check_dim(k.delta_matrix.shape[0], prim.n)
-        return uniform_price(prim)
-    if isinstance(k, Box) and np.array_equal(k.lower, k.upper):
+    if isinstance(k, Box):
         # fixed prices in every market: the set is a single point
         _check_dim(k.lower.shape[0], prim.n)
-        return k.lower.copy()
-    if isinstance(k, AveragePrice):
-        _check_dim(k.theta.shape[0], prim.n)
-        g_theta = prim.adjacency_products.get(k)
-        if g_theta is None:
-            g_theta = prim.net.adjacency @ k.theta
-            g_theta.setflags(write=False)
-            prim.adjacency_products[k] = g_theta
-        hinv_theta = k.theta - prim.delta * g_theta
-        slack = float(k.theta @ q) - k.cap
-        if slack <= 0.0:
-            return q
-        return q - (slack / float(k.theta @ hinv_theta)) * hinv_theta
-    vmat, offsets = halfspace_form(k, prim.n)
-    if offsets.shape[0] == 0:
-        return q  # every bound infinite
-    return _active_set_projection(prim, vmat, offsets, q)
+        return _rows(prim, k.lower)
+    _check_dim(k.theta.shape[0], prim.n)
+    slack = float(k.theta @ q) - k.cap  # delta-free: one per block
+    if slack <= 0.0:
+        return _rows(prim, q)
+    g_theta = prim.adjacency_products.get(k)
+    if g_theta is None:
+        g_theta = prim.net.adjacency @ k.theta
+        g_theta.setflags(write=False)
+        prim.adjacency_products[k] = g_theta
+    hinv_theta = k.theta - prim.delta * g_theta
+    return q - (slack / np.vecdot(k.theta, hinv_theta))[..., None] * hinv_theta
 
 
 def equilibrium_outcome(prim: MarketPrimitives, k: RegulationSet) -> WelfareOutcome:
@@ -603,25 +628,36 @@ def gap_parts(prims, k: RegulationSet):
     ratio at each equilibrium profit ratio tau*.
 
     ``prims`` yields the market of each row in turn (the same market at one
-    spillover per row).  Each row is projected in turn until a market or its
-    projection fails; the rest is evaluated for all projected rows at once.
-    ``failure`` is None, or ``(row, error)`` for the first row that fails, by
-    its first failing check: its market or projection, tau* below -1e-9
-    (``OutOfRangeError``: the frontier is undefined there), then the
-    frontier solve at tau* clamped to [0, 1].  The arrays hold the rows
-    before it.
+    spillover per row).  A closed-form regulation is projected once, for
+    the block of all rows' markets; any other is projected row by row, cold
+    at each row's spillover, until a projection fails.  The rest is
+    evaluated for all projected rows at once.  ``failure`` is None, or
+    ``(row, error)`` for the first row that fails, by its first failing
+    check: its market or projection (a closed-form projection fails at
+    every row or none), tau* below -1e-9 (``OutOfRangeError``: the frontier
+    is undefined there), then the frontier solve at tau* clamped to [0, 1].
+    The arrays hold the rows before it.
     """
     markets, prices, failure = [], [], None
+    per_row = not _closed_form(k)
     try:
         for prim in prims:
-            prices.append(project(prim, k))
+            if per_row:
+                prices.append(project(prim, k))
             markets.append(prim)
     except NetregError as err:
         failure = (len(markets), err)
+    empty = np.empty((0, 0)), np.empty(0), np.empty(0), np.empty(0)
     if not markets:
-        return np.empty((0, 0)), np.empty(0), np.empty(0), np.empty(0), failure
+        return *empty, failure
     block = spillover_rows(markets)
-    p_star = np.array(prices)
+    if per_row:
+        p_star = np.array(prices)
+    else:
+        try:
+            p_star = project(block, k).reshape(len(markets), -1)
+        except NetregError as err:
+            return *empty, (0, err)
     r_v_star, tau_star = ratios(block, p_star)
     _, _, r_v_plus, failures = paretomod.frontier_rows(block, np.minimum(np.maximum(tau_star, 0.0), 1.0), "plus")
     for i in (tau_star < -1e-9).nonzero()[0].tolist():

@@ -9,14 +9,17 @@ market is built per sweep and each row takes it to its spillover with
 once.
 
 The grid runs in blocks of ``BLOCK_ELEMENTS // n`` rows, so memory does not
-grow with the grid.  ``regulation.gap_parts`` projects a block's rows one
-by one, then evaluates the ratios, the frontier root and the gap for the
-whole block at once with the row-wise routines of ``market`` and
-``pareto``; ``a_statistic`` follows.  Nothing carries from row to row and
-a row's bits do not depend on its block, so every row equals the
-single-point ``gap``, ``ratios`` and ``a_statistic`` at its spillover bit
-for bit.  A failure names the first failing grid point: the rows before a
-failed projection are evaluated first.
+grow with the grid.  ``regulation.gap_parts`` projects a block's
+closed-form rows (unrestricted, uniform, zero caps, a point box, an
+average-price cap) as a block, in one ``regulation.project`` call on the
+block market, and active-set rows one by one.  It then evaluates the
+ratios, the frontier root and the gap for the whole block at once with the
+row-wise routines of ``market`` and ``pareto``; ``a_statistic`` follows.
+Nothing carries from row to row and a row's bits do not depend on its
+block, so every row equals the single-point ``gap``, ``ratios`` and
+``a_statistic`` at its spillover bit for bit.  A failure names the first
+failing grid point: the rows before a failed active-set projection are
+evaluated first, and a closed-form projection fails at every row or none.
 
 The named experiments reproduce the desk-scale figure data: the
 core-periphery uniform-pricing cases, the complete-graph control, the

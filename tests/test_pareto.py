@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,12 @@ class TestFrontier:
         prim = random_primitives(rng, random_connected_network(rng, 4))
         with pytest.raises(netreg.OutOfRangeError):
             netreg.frontier(prim, [0.5, 1.2])
+
+    @pytest.mark.parametrize("grid", [0.5, [[0.2, 0.5]]])
+    def test_grid_must_be_one_dimensional(self, rng, grid):
+        prim = random_primitives(rng, random_connected_network(rng, 5))
+        with pytest.raises(netreg.DimensionMismatchError, match=re.escape(f"shape {np.shape(grid)} ")):
+            netreg.frontier(prim, grid)
 
     def test_default_grid(self, rng):
         prim = random_primitives(rng, random_connected_network(rng, 3))

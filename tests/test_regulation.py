@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import netreg
-from netreg.market import delta_near_bound, half_gap, quad_form_h
+from netreg.market import delta_near_bound, half_gap, quad_form_h, spillover_rows
 from netreg.regulation import Classification, halfspace_form
 
 from conftest import random_connected_network, random_primitives
@@ -201,6 +201,28 @@ class TestProjectionClosedForms:
         pur = netreg.unrestricted_price(prim)
         reg = netreg.AveragePrice(theta=theta, cap=float(theta @ pur) + 1.0)
         assert np.allclose(netreg.project(prim, reg), pur)
+
+    def test_block_rows_are_single_markets(self, rng):
+        # a block market gets one closed-form price per row, each the bits of
+        # its row's own market; an active-set kind takes one market at a time
+        prim = random_primitives(rng, random_connected_network(rng, 5))
+        pur = netreg.unrestricted_price(prim)
+        theta = np.full(5, 0.2)
+        markets = [prim.at(f / prim.net.lambda1) for f in (0.0, 0.3, 0.9, 1.0 - 1e-6)]
+        block = spillover_rows(markets)
+        for k in (
+            netreg.Unrestricted(),
+            netreg.Uniform(),
+            netreg.PriceDifference(delta_matrix=np.zeros((5, 5))),
+            netreg.Box(lower=pur, upper=pur),
+            netreg.AveragePrice(theta=theta, cap=float(theta @ pur) - 1.0),
+            netreg.AveragePrice(theta=theta, cap=float(theta @ pur) + 1.0),
+        ):
+            rows = netreg.project(block, k)
+            assert rows.shape == (4, 5)
+            assert rows.tobytes() == np.array([netreg.project(m, k) for m in markets]).tobytes()
+        with pytest.raises(netreg.UnsupportedRegulationError):
+            netreg.project(block, netreg.Box(lower=pur - 1.0, upper=pur))
 
 
 class TestProjectionOracle:

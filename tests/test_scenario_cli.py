@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 
@@ -218,6 +219,24 @@ class TestGrid:
         assert grid[0] == pytest.approx(0.999 / s.network.lambda1, rel=1e-12)
 
 
+def _two_block_sweep(kind):
+    """A core-periphery sweep of n = 128 markets over two blocks of rows,
+    under a regulation of the kind, and the rows of its first block."""
+    text = CP_UNIFORM.replace("core_size = 3", "core_size = 8").replace("periphery_per_core = 2", "periphery_per_core = 15")
+    n = 8 * 16
+    size = netreg.sweeps.BLOCK_ELEMENTS // n
+    scenario = parse_scenario(text.replace("count = 12", f"count = {size + 40}"))
+    assert scenario.network.n == n
+    pur = 0.5 * (scenario.a + scenario.c)  # the unrestricted price
+    regulation = {
+        "uniform": scenario.regulation,
+        "zero_caps": netreg.PriceDifference(delta_matrix=np.zeros((n, n))),
+        "average": netreg.AveragePrice(theta=np.full(n, 1.0 / n), cap=0.9 * pur.mean()),  # binding
+        "box": netreg.Box(lower=np.full(n, -np.inf), upper=np.where(np.arange(n) == 0, 0.9 * pur[0], np.inf)),
+    }[kind]
+    return dataclasses.replace(scenario, regulation=regulation), size
+
+
 class TestSweep:
     def test_unrestricted_rows(self):
         text = CP_UNIFORM.replace("kind = uniform", "kind = unrestricted")
@@ -248,27 +267,37 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "first, second, first_past_block",
-        [("profit", "projection", True), ("projection", "profit", True), ("profit", "projection", False)],
+        [
+            ("profit", "projection", True),
+            ("projection", "profit", True),
+            ("profit", "projection", False),
+            ("profit", "profit", True),
+        ],
     )
     def test_failure_names_the_first_failing_point(self, monkeypatch, first, second, first_past_block):
         # failures at two spillovers of a two-block sweep, the second past the
         # first block's end: "profit" makes tau* negative (found after the
-        # block's projections), "projection" fails the projection itself
-        text = CP_UNIFORM.replace("core_size = 3", "core_size = 8").replace("periphery_per_core = 2", "periphery_per_core = 15")
-        n = 8 * 16
-        size = netreg.sweeps.BLOCK_ELEMENTS // n
-        scenario = parse_scenario(text.replace("count = 12", f"count = {size + 40}"))
-        assert scenario.network.n == n
+        # block's projections), "projection" fails the projection itself.
+        # Only an active-set (box) sweep projects row by row, so only there
+        # can one row's projection fail alone; a closed-form (uniform) sweep
+        # projects each block at once
+        scenario, size = _two_block_sweep("box" if "projection" in (first, second) else "uniform")
         grid = delta_grid(scenario).tolist()
         named = grid[size + 5 if first_past_block else 3]
         failures = {named: first, grid[size + 20]: second}
         project = netreg.regulation.project
 
         def failing(prim, k):
-            failure = failures.get(prim.delta)
-            if failure == "projection":
+            # prim is one market, or a block of them with delta as a column
+            deltas = np.ravel(prim.delta).tolist()
+            if "projection" in [failures.get(d) for d in deltas]:
                 raise netreg.InfeasibleError(f"no price at delta={prim.delta!r}")
-            return 100.0 * prim.a if failure == "profit" else project(prim, k)
+            price = project(prim, k).copy()
+            rows = price.reshape(-1, prim.n)
+            for i, d in enumerate(deltas):
+                if failures.get(d) == "profit":
+                    rows[i] = 100.0 * prim.a
+            return price
 
         monkeypatch.setattr(netreg.regulation, "project", failing)
         with pytest.raises(netreg.SweepError) as err:
@@ -281,6 +310,24 @@ class TestSweep:
         assert type(err.value.__cause__) is type(single.value)
         assert str(err.value.__cause__) == str(single.value)
 
+    @pytest.mark.parametrize("kind", ["uniform", "zero_caps", "average", "box"])
+    def test_closed_form_sweeps_project_once_per_block(self, monkeypatch, kind):
+        # closed-form rows are projected as one block market, active-set rows
+        # one market at a time
+        scenario, size = _two_block_sweep(kind)
+        calls, project = [], netreg.regulation.project
+
+        def counting(prim, k):
+            calls.append(np.size(prim.delta))
+            return project(prim, k)
+
+        monkeypatch.setattr(netreg.regulation, "project", counting)
+        count = len(netreg.run_sweep(scenario))
+        assert count > size
+        if kind == "box":
+            assert calls == [1] * count
+        else:
+            assert calls == [size, count - size]
     def test_rows_match_single_point_api(self):
         scenarios = [parse_scenario(CP_UNIFORM), parse_scenario(INLINE), parse_scenario(AVERAGE)]
         scenarios += experiment_scenarios("figB2b", count=6).values()
