@@ -33,9 +33,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    results = run_named_experiment(args.name, count=args.count)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = run_named_experiment(args.name, count=args.count)
     for stem, rows in results.items():
         path = outdir / f"{stem}.csv"
         emit_csv(rows, path)

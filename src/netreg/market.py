@@ -29,24 +29,23 @@ so their rounding errors cancel: ratios stay within about 1e-15 relative as
 A sweep evaluates one market ``(G, a, c)`` at many spillovers.
 :class:`MarketPrimitives` therefore keeps two kinds of cache: data that
 depends on ``delta`` (``h_hat``, the projection memo) and data that does not
-(``half_gap_hat``, ``unrestricted_hat``, ``adjacency_products``).
-:meth:`MarketPrimitives.at` gives the same market at another spillover,
-sharing the second kind and starting the first empty.
+(``half_gap_hat``, ``unrestricted_hat``).  :meth:`MarketPrimitives.at` gives
+the same market at another spillover, or at a column of them, sharing the
+second kind and starting the first empty.
 
 The welfare routines are row-wise: given prices as rows, :func:`ratios` and
-:func:`a_statistic` return one value per row.  :func:`spillover_rows` gives
-the market at a block of spillovers, one per row, as primitives whose
-``delta`` is a column and whose ``h_hat`` has one row per spillover; every
-routine that reads ``delta`` or ``h_hat`` then evaluates each row at its own
-spillover.  That includes the closed-form projections of
-:func:`netreg.regulation.project` (unrestricted, uniform, zero caps, a
-point box, an average-price cap), which price a whole block in one call;
-an active-set projection takes one market per row.  A row's bits do not
-depend on the other rows: products are elementwise, sums run along a row,
-each dot product is one ``np.vecdot`` row (the same BLAS dot as
-``x @ y``), and ``W'(p - p_ur)`` is one gemv per row (a gemm over the rows
-would round differently).  A single price is the block of one row, through
-the same code.
+:func:`a_statistic` return one value per row.  A market whose ``delta`` is a
+column (``prim.at(deltas[:, None])``) holds one row per spillover, and its
+``h_hat`` has one row per spillover; every routine that reads ``delta`` or
+``h_hat`` then evaluates each row at its own spillover.  That includes the
+closed-form projections of :func:`netreg.regulation.project` (unrestricted,
+uniform, zero caps, a point box, an average-price cap), which price a whole
+column in one call; an active-set projection takes one spillover at a
+time.  A row's bits do not depend on the other rows: products are
+elementwise, sums run along a row, each dot product is one ``np.vecdot``
+row (the same BLAS dot as ``x @ y``), and ``W'(p - p_ur)`` is one gemv per
+row (a gemm over the rows would round differently).  A market at one
+spillover is the block of one row, through the same code.
 """
 
 from dataclasses import dataclass
@@ -73,9 +72,8 @@ class MarketPrimitives:
     ``0 <= delta`` with ``delta * lambda_1 < 1``.
 
     Cached on first use: ``h_hat`` and ``projections`` depend on ``delta``;
-    ``half_gap_hat``, ``unrestricted_hat`` and ``adjacency_products`` depend
-    on ``(G, a, c)`` alone, and :meth:`at` hands them to the same market at
-    another spillover.
+    ``half_gap_hat`` and ``unrestricted_hat`` depend on ``(G, a, c)`` alone,
+    and :meth:`at` hands them to the same market at other spillovers.
     """
 
     net: Network
@@ -108,24 +106,28 @@ class MarketPrimitives:
     def n(self):
         return self.net.n
 
-    def at(self, delta: float) -> "MarketPrimitives":
-        """The same market at spillover ``delta``.
+    def at(self, delta) -> "MarketPrimitives":
+        """The same market at spillover ``delta``: one value, or an array
+        column of them (shape ``(m, 1)``), whose row i the row-wise routines
+        evaluate at ``delta[i, 0]``.
 
-        Checks ``delta`` like the constructor, and shares the validated,
-        read-only ``a`` and ``c`` and every delta-independent cache with
-        ``self`` (forming them on ``self`` first if needed); the per-delta
-        caches of the result start empty.
+        Checks ``delta`` like the constructor, a column in one pass, and
+        shares the validated, read-only ``a`` and ``c`` and every
+        delta-independent cache with ``self`` (forming them on ``self``
+        first if needed); the per-delta caches of the result start empty.
         """
+        if isinstance(delta, np.ndarray):
+            if delta.ndim != 2 or delta.shape[1] != 1:
+                raise DimensionMismatchError(f"spillovers must be one value or a column, got shape {delta.shape}")
+            delta = delta.astype(float)
+            delta.setflags(write=False)
         netmod.check_spillover(self.net, delta)
-        return self._sharing(float(delta))
-
-    def _sharing(self, delta) -> "MarketPrimitives":
         other = object.__new__(MarketPrimitives)
         vars(other).update(
             net=self.net,
             a=self.a,
             c=self.c,
-            delta=delta,
+            delta=delta if isinstance(delta, np.ndarray) else float(delta),
             **{name: getattr(self, name) for name in _DELTA_FREE},
         )
         return other
@@ -146,12 +148,6 @@ class MarketPrimitives:
         return qhat
 
     @cached_property
-    def adjacency_products(self) -> dict:
-        """Memo of ``G theta`` for each ``AveragePrice``, read-only and keyed
-        like ``projections``; it does not depend on delta."""
-        return {}
-
-    @cached_property
     def h_hat(self) -> np.ndarray:
         """``1/(1 - delta*lambda)``: H in the eigenbasis of G, a diagonal."""
         h = 1.0 / (1.0 - self.delta * self.net.spectrum.eigenvalues)
@@ -168,25 +164,7 @@ class MarketPrimitives:
 
 
 # the caches that `MarketPrimitives.at` shares across spillovers
-_DELTA_FREE = ("half_gap_hat", "unrestricted_hat", "adjacency_products")
-
-
-def spillover_rows(prims) -> MarketPrimitives:
-    """One market at the spillovers of ``prims``, one per row, for the
-    row-wise routines.
-
-    ``prims`` are the same market (from :meth:`MarketPrimitives.at`), each
-    checked at its spillover.  The result shares their delta-free caches; its
-    ``delta`` is the column of their spillovers, so its ``h_hat`` has one row
-    per spillover and every routine reading ``delta`` evaluates each row at
-    its own.  :func:`netreg.regulation.project` prices it only under a
-    closed-form regulation, one price per row; an active-set projection
-    takes one market.  One market is its own block: its scalar ``delta``
-    serves its one row.
-    """
-    if len(prims) == 1:
-        return prims[0]
-    return prims[0]._sharing(np.array([[prim.delta] for prim in prims]))
+_DELTA_FREE = ("half_gap_hat", "unrestricted_hat")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +269,7 @@ def ratios(prim: MarketPrimitives, p):
     """(R_V, R_Pi) at price p, normalised by the unrestricted benchmark.
 
     Row-wise: prices as rows give one array of each ratio, row i at its own
-    spillover when ``prim`` comes from :func:`spillover_rows`.
+    spillover when ``prim.delta`` is a column.
     ``W'(p - p_ur)`` is one gemv per row, as for a single price.
     """
     p = _check_rows(prim, p)

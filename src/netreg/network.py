@@ -234,9 +234,25 @@ def gen_complete(n: int) -> Network:
     return build_network(g)
 
 
+def admissible(net: Network, delta: np.ndarray) -> np.ndarray:
+    """Whether each spillover of the array ``delta`` passes
+    :func:`check_spillover`: finite, nonnegative and below ``1/lambda_1``."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf*0 at lambda_1 = 0 is NaN, and fails
+        return np.isfinite(delta) & (delta >= 0.0) & (delta * net.lambda1 < 1.0)
+
+
 def check_spillover(net: Network, delta: float) -> None:
     """Raise SpectralBoundError unless delta is finite, 0 <= delta and
-    delta*lambda_1 < 1."""
+    delta*lambda_1 < 1.
+
+    An array of spillovers (a sweep's column) is checked in one pass, and
+    fails as its first failing entry fails alone.
+    """
+    if isinstance(delta, np.ndarray):
+        ok = admissible(net, delta)
+        if not ok.all():
+            check_spillover(net, float(delta[~ok][0]))
+        return
     if not np.isfinite(delta):
         raise SpectralBoundError(f"delta={float(delta)!r} must be finite")
     if delta < 0.0:

@@ -36,8 +36,8 @@ through an independent dense solve.
 
 The root is solved row-wise, in one routine, :func:`frontier_rows`: one row
 per profit ratio, at one spillover (``frontier``, and a single point as the
-block of one row) or at one spillover per row (a block of sweep rows, from
-:func:`netreg.market.spillover_rows`).  Every row takes its own Newton
+block of one row) or at one spillover per row (a block of sweep rows: a
+market whose ``delta`` is a column).  Every row takes its own Newton
 steps with elementwise numpy and ``np.vecdot``, and leaves the evaluated
 rows once it converges, so its bits do not depend on the other rows.  A row
 that fails is reported by row, not raised, so that a sweep can name the
@@ -242,8 +242,8 @@ def _rho1_root(prim, tau, branch):
 def frontier_rows(prim: MarketPrimitives, tau: np.ndarray, branch: str):
     """The frontier point on one branch at each profit ratio in ``tau``.
 
-    Row i is at the spillover of ``prim``, or at its own when ``prim`` comes
-    from :func:`netreg.market.spillover_rows`.  Returns
+    Row i is at the spillover of ``prim``, or at its own when ``prim.delta``
+    is a column.  Returns
     ``(parameter, rho, R_V, failures)``: eta on the ``'plus'`` branch and
     the bounded parameter u on the ``'minus'`` one, the spectral weights and
     the surplus ratio of each point, and ``{row: error}`` for the rows that

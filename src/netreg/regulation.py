@@ -15,8 +15,9 @@ the feasible set.  Supported set kinds:
 Projection dispatch: Unrestricted and Uniform have closed forms (the
 uniform level is ``<1, H p_ur> / <1, H 1>``, summed in the eigenbasis), as
 do zero difference caps (the uniform line), a point box and AveragePrice (a
-single halfspace).  The closed forms are row-wise: given the block market
-of a sweep (one spillover per row), they price every row at once.
+single halfspace).  The closed forms are row-wise: given a market whose
+``delta`` is a column (a sweep's block, one spillover per row), they price
+every row at once.
 Everything else is decomposed into halfspaces ``V p <= m``, one row per
 face, built by array indexing (``halfspace_form``), and projected by the
 Goldfarb-Idnani dual active-set method in the H metric, which needs only
@@ -64,7 +65,6 @@ from .market import (
     limit_ratios,
     profit_ratio,
     ratios,
-    spillover_rows,
     unrestricted_price,
     welfare_outcome,
 )
@@ -380,9 +380,9 @@ def uniform_price(prim: MarketPrimitives) -> np.ndarray:
     ``sum(w*h*q) / sum(w^2*h)``, a quotient of forms in the same ``h`` like
     the welfare ratios, so it keeps their accuracy near the spectral bound.
     ``w`` and ``q`` do not depend on delta, so it costs O(n) per spillover.
-    Row-wise: a block market from :func:`netreg.market.spillover_rows` gets
-    one price per row, each level from one ``np.vecdot`` row at that row's
-    spillover, so a row's bits do not depend on its block.
+    Row-wise: a market whose ``delta`` is a column gets one price per row,
+    each level from one ``np.vecdot`` row at that row's spillover, so a
+    row's bits do not depend on its block.
     """
     w_h = prim.net.ones_hat * prim.h_hat
     level = np.vecdot(w_h, prim.unrestricted_hat) / np.vecdot(w_h, prim.net.ones_hat)
@@ -402,12 +402,12 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
 
     Closed forms handle the unrestricted, uniform, average-price,
     zero-cap-difference (which is the uniform line) and fixed-price (point
-    box) cases exactly, for one market or, row-wise, for every row of a
-    block market from :func:`netreg.market.spillover_rows` at once.
-    Everything else runs the finite dual active-set method over
-    ``halfspace_form(k)`` on one market; it returns once no halfspace is
-    violated by more than ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``
-    and raises ``InfeasibleError`` when the set is empty.
+    box) cases exactly, at one spillover or, row-wise, at every row of a
+    column ``delta`` at once.  Everything else runs the finite dual
+    active-set method over ``halfspace_form(k)`` at one spillover; it
+    returns once no halfspace is violated by more than
+    ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1`` and raises
+    ``InfeasibleError`` when the set is empty.
 
     The result is memoised per ``(prim, k)`` in ``prim.projections``, so the
     outcome, the gap and the certificate of one set share one projection;
@@ -436,7 +436,7 @@ def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     q = unrestricted_price(prim)
     if not _closed_form(k):
         if isinstance(prim.delta, np.ndarray):
-            raise UnsupportedRegulationError(f"kind {k.kind!r} has no closed form: project one market per row")
+            raise UnsupportedRegulationError(f"kind {k.kind!r} has no closed form: project one spillover at a time")
         vmat, offsets = halfspace_form(k, prim.n)
         if offsets.shape[0] == 0:
             return q  # every bound infinite
@@ -455,12 +455,7 @@ def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     slack = float(k.theta @ q) - k.cap  # delta-free: one per block
     if slack <= 0.0:
         return _rows(prim, q)
-    g_theta = prim.adjacency_products.get(k)
-    if g_theta is None:
-        g_theta = prim.net.adjacency @ k.theta
-        g_theta.setflags(write=False)
-        prim.adjacency_products[k] = g_theta
-    hinv_theta = k.theta - prim.delta * g_theta
+    hinv_theta = k.theta - prim.delta * (prim.net.adjacency @ k.theta)
     return q - (slack / np.vecdot(k.theta, hinv_theta))[..., None] * hinv_theta
 
 
@@ -622,42 +617,35 @@ def classify_limit(prim: MarketPrimitives, k: RegulationSet) -> LimitClassificat
     )
 
 
-def gap_parts(prims, k: RegulationSet):
-    """``(p*, R_V(p*), tau*, R_V_plus(tau*), failure)`` for a block of rows:
-    the equilibrium prices, their welfare ratios and the frontier surplus
-    ratio at each equilibrium profit ratio tau*.
+def gap_parts(block: MarketPrimitives, k: RegulationSet):
+    """``(p*, R_V(p*), tau*, R_V_plus(tau*), failure)`` for the rows of
+    ``block``: the equilibrium prices, their welfare ratios and the frontier
+    surplus ratio at each equilibrium profit ratio tau*.
 
-    ``prims`` yields the market of each row in turn (the same market at one
-    spillover per row).  A closed-form regulation is projected once, for
-    the block of all rows' markets; any other is projected row by row, cold
-    at each row's spillover, until a projection fails.  The rest is
-    evaluated for all projected rows at once.  ``failure`` is None, or
+    ``block`` is one market at a column of spillovers, one row each (from
+    :meth:`MarketPrimitives.at`), or at one spillover, its own block of one
+    row, whose projection memo it then shares.  A closed-form regulation is
+    projected once, for all rows; any other is projected row by row, cold at
+    each row's spillover (``block.at``), until a projection fails.  The rest
+    is evaluated for all projected rows at once.  ``failure`` is None, or
     ``(row, error)`` for the first row that fails, by its first failing
-    check: its market or projection (a closed-form projection fails at
-    every row or none), tau* below -1e-9 (``OutOfRangeError``: the frontier
-    is undefined there), then the frontier solve at tau* clamped to [0, 1].
-    The arrays hold the rows before it.
+    check: its projection (a closed-form projection fails at every row or
+    none), tau* below -1e-9 (``OutOfRangeError``: the frontier is undefined
+    there), then the frontier solve at tau* clamped to [0, 1].  The arrays
+    hold the rows before it.
     """
-    markets, prices, failure = [], [], None
-    per_row = not _closed_form(k)
+    per_row = isinstance(block.delta, np.ndarray) and not _closed_form(k)
+    markets = (block.at(delta) for delta in block.delta[:, 0].tolist()) if per_row else [block]
+    prices, failure = [], None
     try:
-        for prim in prims:
-            if per_row:
-                prices.append(project(prim, k))
-            markets.append(prim)
+        for market in markets:
+            prices.append(project(market, k))
     except NetregError as err:
-        failure = (len(markets), err)
-    empty = np.empty((0, 0)), np.empty(0), np.empty(0), np.empty(0)
-    if not markets:
-        return *empty, failure
-    block = spillover_rows(markets)
-    if per_row:
-        p_star = np.array(prices)
-    else:
-        try:
-            p_star = project(block, k).reshape(len(markets), -1)
-        except NetregError as err:
-            return *empty, (0, err)
+        failure = (len(prices), err)
+        if not prices:
+            return np.empty((0, block.n)), np.empty(0), np.empty(0), np.empty(0), failure
+        block = block.at(block.delta[: len(prices)])
+    p_star = np.reshape(prices, (-1, block.n))
     r_v_star, tau_star = ratios(block, p_star)
     _, _, r_v_plus, failures = paretomod.frontier_rows(block, np.minimum(np.maximum(tau_star, 0.0), 1.0), "plus")
     for i in (tau_star < -1e-9).nonzero()[0].tolist():
@@ -674,7 +662,7 @@ def gap_parts(prims, k: RegulationSet):
 def gap(prim: MarketPrimitives, k: RegulationSet) -> float:
     """Vertical distance ``R_V_plus(tau*) - R_V(p*)`` from the equilibrium
     surplus ratio to the frontier (nonnegative up to root tolerance)."""
-    _, r_v_star, _, r_v_plus, failure = gap_parts([prim], k)
+    _, r_v_star, _, r_v_plus, failure = gap_parts(prim, k)
     if failure:
         raise failure[1]
     return float(r_v_plus[0] - r_v_star[0])

@@ -4,21 +4,22 @@ A sweep evaluates one scenario on its spillover grid: at each value it
 projects the unrestricted price onto the regulation, records the welfare
 ratios and the average-deviation statistic, solves the frontier point at
 the equilibrium profit ratio, and reports the vertical gap to it.  One
-market is built per sweep and each row takes it to its spillover with
-``MarketPrimitives.at``, so the delta-independent spectral data is formed
+market is built per sweep, so the delta-independent spectral data is formed
 once.
 
 The grid runs in blocks of ``BLOCK_ELEMENTS // n`` rows, so memory does not
-grow with the grid.  ``regulation.gap_parts`` projects a block's
-closed-form rows (unrestricted, uniform, zero caps, a point box, an
-average-price cap) as a block, in one ``regulation.project`` call on the
-block market, and active-set rows one by one.  It then evaluates the
-ratios, the frontier root and the gap for the whole block at once with the
-row-wise routines of ``market`` and ``pareto``; ``a_statistic`` follows.
-Nothing carries from row to row and a row's bits do not depend on its
-block, so every row equals the single-point ``gap``, ``ratios`` and
-``a_statistic`` at its spillover bit for bit.  A failure names the first
-failing grid point: the rows before a failed active-set projection are
+grow with the grid.  A block is that market at a column of spillovers,
+``market.at(deltas[:, None])``, checked in one pass.
+``regulation.gap_parts`` projects a block's closed-form rows (unrestricted,
+uniform, zero caps, a point box, an average-price cap) in one
+``regulation.project`` call, and active-set rows one by one.  It then
+evaluates the ratios, the frontier root and the gap for the whole block at
+once with the row-wise routines of ``market`` and ``pareto``;
+``a_statistic`` follows.  Nothing carries from row to row and a row's bits
+do not depend on its block, so every row equals the single-point ``gap``,
+``ratios`` and ``a_statistic`` at its spillover bit for bit.  A failure
+names the first failing grid point: the rows before a failed active-set
+projection, or before a grid point that fails ``check_spillover``, are
 evaluated first, and a closed-form projection fails at every row or none.
 
 The named experiments reproduce the desk-scale figure data: the
@@ -29,8 +30,9 @@ returns ``{stem: rows}``; multi-cap families get one stem per cap value.
 
 from dataclasses import dataclass
 
-from .errors import NetregError, SweepError, UnknownExperimentError
+from .errors import NetregError, SpectralBoundError, SweepError, UnknownExperimentError
 from .market import MarketPrimitives, a_statistic
+from .network import admissible
 from .regulation import gap_parts
 from .scenario import Scenario, delta_grid, parse_scenario, scenario_text
 
@@ -59,14 +61,17 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
     offending value and the regulation kind.
     """
     market = MarketPrimitives(net=scenario.network, a=scenario.a, c=scenario.c, delta=0.0)
-    grid = delta_grid(scenario).tolist()
+    grid = delta_grid(scenario)
+    # the rows before the first grid point that fails check_spillover are
+    # swept first, so that a failure among them is the one named
+    admitted = admissible(market.net, grid)
+    end = len(grid) if admitted.all() else int(admitted.argmin())
     size = max(1, BLOCK_ELEMENTS // market.n)
     rows = []
-    for start in range(0, len(grid), size):
-        deltas = grid[start : start + size]
-        p_star, r_v_star, r_pi_star, r_v_plus, failure = gap_parts(
-            (market.at(delta) for delta in deltas), scenario.regulation
-        )
+    for start in range(0, end, size):
+        column = grid[start : min(start + size, end), None]
+        deltas = column[:, 0].tolist()
+        p_star, r_v_star, r_pi_star, r_v_plus, failure = gap_parts(market.at(column), scenario.regulation)
         if len(p_star):  # its check fails at every row or none, after the row's gap checks
             try:
                 a_stat = a_statistic(market, p_star)
@@ -81,6 +86,11 @@ def run_sweep(scenario: Scenario) -> list[SweepRow]:
                 deltas, r_v_star.tolist(), r_pi_star.tolist(), r_v_plus.tolist(), a_stat.tolist()
             )
         ]
+    if end < len(grid):
+        try:
+            market.at(grid[end])
+        except SpectralBoundError as err:
+            raise SweepError(float(grid[end]), err, scenario.regulation.kind) from err
     return rows
 
 

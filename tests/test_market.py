@@ -298,9 +298,20 @@ class TestAt:
         assert other.a is prim.a and other.c is prim.c and other.net is prim.net
         assert other.half_gap_hat is prim.half_gap_hat
         assert other.unrestricted_hat is prim.unrestricted_hat
-        assert other.adjacency_products is prim.adjacency_products
         assert prim.projections and other.projections == {}
         assert np.array_equal(other.h_hat, 1.0 / (1.0 - delta * net.spectrum.eigenvalues))
+
+    def test_column(self, rng):
+        net = random_connected_network(rng, 5)
+        prim = random_primitives(rng, net)
+        deltas = np.array([0.0, 0.5, 0.9]) / net.lambda1
+        block = prim.at(deltas[:, None])
+        deltas[0] = 1.0  # the block holds its own read-only copy
+        assert block.delta[0, 0] == 0.0 and not block.delta.flags.writeable
+        assert block.half_gap_hat is prim.half_gap_hat
+        assert block.h_hat.shape == (3, 5)
+        with pytest.raises(netreg.DimensionMismatchError):
+            prim.at(deltas)
 
     @pytest.mark.parametrize("fraction", [1.0, 1.5])
     def test_spectral_bound(self, rng, fraction):

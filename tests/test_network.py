@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -455,6 +456,23 @@ class TestLeontiefOperator:
     def test_dimension_mismatch(self, dyad):
         with pytest.raises(netreg.DimensionMismatchError):
             netreg.h_apply(dyad, 0.1, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_column_fails_as_its_first_failing_entry(self, n):
+        # lambda_1 = 0 on one node, where inf * lambda_1 is NaN
+        net = netreg.build_network(np.ones((n, n)) - np.eye(n))
+        bound = [1.0 / net.lambda1] if net.lambda1 > 0 else []
+        bad = [np.nan, -1.0, *bound, np.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            network.check_spillover(net, np.array([[0.0], [0.5]]) / max(net.lambda1, 1.0))
+            for i in range(len(bad)):
+                first, *rest = bad[i:] + bad[:i]
+                with pytest.raises(netreg.SpectralBoundError) as alone:
+                    network.check_spillover(net, first)
+                with pytest.raises(netreg.SpectralBoundError) as column:
+                    network.check_spillover(net, np.array([0.0, 0.25, first, 0.5, *rest])[:, None])
+                assert str(column.value) == str(alone.value)
 
     def test_matrix_right_hand_side(self, rng):
         net = random_connected_network(rng, 6)

@@ -165,7 +165,7 @@ def _point(prim, k):
 def _block(market, deltas, k):
     """The rows of one ``gap_parts`` block over ``deltas`` in the single
     point's form, up to and including the first failure."""
-    p_star, r_v, r_pi, r_v_plus, failure = gap_parts((market.at(d) for d in deltas), k)
+    p_star, r_v, r_pi, r_v_plus, failure = gap_parts(market.at(np.array(deltas)[:, None]), k)
     a_stat = netreg.a_statistic(market, p_star) if len(p_star) else []
     columns = np.column_stack([p_star, r_v, r_pi, a_stat, r_v_plus - r_v]) if len(p_star) else []
     rows = [row.tobytes() for row in columns]

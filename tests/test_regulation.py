@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import netreg
-from netreg.market import delta_near_bound, half_gap, quad_form_h, spillover_rows
+from netreg.market import delta_near_bound, half_gap, quad_form_h
 from netreg.regulation import Classification, halfspace_form
 
 from conftest import random_connected_network, random_primitives
@@ -203,13 +203,15 @@ class TestProjectionClosedForms:
         assert np.allclose(netreg.project(prim, reg), pur)
 
     def test_block_rows_are_single_markets(self, rng):
-        # a block market gets one closed-form price per row, each the bits of
-        # its row's own market; an active-set kind takes one market at a time
+        # a market at a column of spillovers gets one closed-form price per
+        # row, each the bits of its row's own market; an active-set kind
+        # takes one spillover at a time
         prim = random_primitives(rng, random_connected_network(rng, 5))
         pur = netreg.unrestricted_price(prim)
         theta = np.full(5, 0.2)
-        markets = [prim.at(f / prim.net.lambda1) for f in (0.0, 0.3, 0.9, 1.0 - 1e-6)]
-        block = spillover_rows(markets)
+        deltas = [f / prim.net.lambda1 for f in (0.0, 0.3, 0.9, 1.0 - 1e-6)]
+        markets = [prim.at(d) for d in deltas]
+        block = prim.at(np.array(deltas)[:, None])
         for k in (
             netreg.Unrestricted(),
             netreg.Uniform(),
@@ -223,6 +225,13 @@ class TestProjectionClosedForms:
             assert rows.tobytes() == np.array([netreg.project(m, k) for m in markets]).tobytes()
         with pytest.raises(netreg.UnsupportedRegulationError):
             netreg.project(block, netreg.Box(lower=pur - 1.0, upper=pur))
+
+    @pytest.mark.parametrize("kind", ["uniform", "box"])
+    def test_empty_column_has_no_rows(self, rng, kind):
+        prim = random_primitives(rng, random_connected_network(rng, 5))
+        k = netreg.Uniform() if kind == "uniform" else netreg.Box(lower=np.full(5, -np.inf), upper=np.full(5, 1.0))
+        p_star, *ratios, failure = netreg.regulation.gap_parts(prim.at(np.empty((0, 1))), k)
+        assert p_star.shape == (0, 5) and all(r.shape == (0,) for r in ratios) and failure is None
 
 
 class TestProjectionOracle:

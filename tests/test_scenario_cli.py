@@ -310,10 +310,41 @@ class TestSweep:
         assert type(err.value.__cause__) is type(single.value)
         assert str(err.value.__cause__) == str(single.value)
 
+    @pytest.mark.parametrize("kind", ["uniform", "box"])
+    def test_grid_point_past_the_bound_is_named_after_the_rows_before_it(self, monkeypatch, kind):
+        # the grid ends past the spectral bound: the sweep fails there, with
+        # check_spillover's message, unless a row before it fails first
+        scenario, size = _two_block_sweep(kind)
+        grid = delta_grid(scenario).tolist()
+        past = 1.5 / scenario.network.lambda1
+        monkeypatch.setattr(netreg.sweeps, "delta_grid", lambda s: np.array([*grid, past, np.nan]))
+        with pytest.raises(netreg.SweepError) as err:
+            netreg.run_sweep(scenario)
+        with pytest.raises(netreg.SpectralBoundError) as alone:
+            netreg.network.check_spillover(scenario.network, past)
+        assert err.value.delta == past
+        assert type(err.value.__cause__) is netreg.SpectralBoundError
+        assert str(err.value.__cause__) == str(alone.value)
+
+        # an active-set sweep projects row by row, a closed-form one its block at once
+        named = grid[size + 5] if kind == "box" else grid[size]
+        project = netreg.regulation.project
+
+        def failing(prim, k):
+            if grid[size + 5] in np.ravel(prim.delta).tolist():
+                raise netreg.InfeasibleError("no price")
+            return project(prim, k)
+
+        monkeypatch.setattr(netreg.regulation, "project", failing)
+        with pytest.raises(netreg.SweepError) as err:
+            netreg.run_sweep(scenario)
+        assert err.value.delta == named
+        assert type(err.value.__cause__) is netreg.InfeasibleError
+
     @pytest.mark.parametrize("kind", ["uniform", "zero_caps", "average", "box"])
     def test_closed_form_sweeps_project_once_per_block(self, monkeypatch, kind):
-        # closed-form rows are projected as one block market, active-set rows
-        # one market at a time
+        # closed-form rows are projected as one block, active-set rows one
+        # spillover at a time
         scenario, size = _two_block_sweep(kind)
         calls, project = [], netreg.regulation.project
 
@@ -483,6 +514,12 @@ class TestCli:
         f1 = out1 / "figB3a.csv"
         f2 = out2 / "figB3a.csv"
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_rejected_count_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["experiment", "fig52a", "-o", str(out), "--count", "0"]) == 1
+        assert "count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_experiment_family_files(self, tmp_path):
         assert main(["experiment", "figB4a", "-o", str(tmp_path), "--count", "5"]) == 0
