@@ -43,6 +43,7 @@ from .network import (
     corr,
     demean,
     eigencentrality,
+    equitable_partition,
     gen_complete,
     gen_complete_bipartite,
     gen_core_periphery,

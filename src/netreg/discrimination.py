@@ -18,8 +18,8 @@ classes, e.g. core-periphery or complete bipartite), psi and the
 eigencentrality are two-valued and the welfare direction collapses to
 comparing the average intrinsic value of the two classes.
 ``verify_two_type`` checks the spectral necessary conditions for a
-user-supplied split (constancy per part and the level ratio
-``-|V2|/|V1|``); it does not compute automorphism groups.
+user-supplied split (constancy per part, at nonzero levels); it does not
+compute automorphism groups.
 """
 
 import enum
@@ -38,7 +38,6 @@ from .network import Network, corr, demean, eigencentrality, h_apply, is_regular
 from .regulation import uniform_price
 
 CONSTANCY_TOL = 1e-8
-RATIO_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,9 +141,11 @@ class TwoTypePartition:
 def verify_two_type(net: Network, part1) -> TwoTypePartition:
     """Check the spectral necessary conditions for a two-type split.
 
-    ``verified`` means: eigencentrality and psi are constant on each part
-    and their demeaned level ratios equal ``-|V2|/|V1|``.  This is
-    consistency with the two-type structure, not a full symmetry proof.
+    ``verified`` means: eigencentrality and psi are constant on each part,
+    at demeaned levels that are not zero (they are zero on a regular
+    graph).  Their level ratios are then ``-|V2|/|V1|``, since both vectors
+    sum to zero.  This is consistency with the two-type structure, not a
+    full symmetry proof.
     """
     part1 = tuple(sorted(int(i) for i in part1))
     if len(set(part1)) != len(part1):
@@ -166,20 +167,13 @@ def verify_two_type(net: Network, part1) -> TwoTypePartition:
 
     w1_levels = (float(w1[idx1].mean()), float(w1[idx2].mean()))
     psi_levels = (float(vec[idx1].mean()), float(vec[idx2].mean()))
-    verified = all(
-        constant_on(values, idx) for values in (w1, vec) for idx in (idx1, idx2)
+    # demeaned w1 and psi sum to zero, so |V1|*level1 + |V2|*level2 = 0 for
+    # any split: only a zero level (a regular graph) is left to reject
+    verified = (
+        all(constant_on(values, idx) for values in (w1, vec) for idx in (idx1, idx2))
+        and abs(float(demean(w1)[idx2].mean())) > 1e-12
+        and abs(psi_levels[1]) > 1e-12
     )
-    if verified:
-        target = -len(part2) / len(part1)
-        w1_tilde = demean(w1)
-        lvl1, lvl2 = float(w1_tilde[idx1].mean()), float(w1_tilde[idx2].mean())
-        for num, den in ((lvl1, lvl2), (psi_levels[0], psi_levels[1])):
-            if abs(den) <= 1e-12:
-                verified = False
-                break
-            if abs(num / den - target) > RATIO_TOL * max(1.0, abs(target)):
-                verified = False
-                break
     return TwoTypePartition(
         part1=part1,
         part2=part2,

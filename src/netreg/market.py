@@ -29,7 +29,8 @@ so their rounding errors cancel: ratios stay within about 1e-15 relative as
 A sweep evaluates one market ``(G, a, c)`` at many spillovers.
 :class:`MarketPrimitives` therefore keeps two kinds of cache: data that
 depends on ``delta`` (``h_hat``, the projection memo) and data that does not
-(``half_gap_hat``, ``unrestricted_hat``).  :meth:`MarketPrimitives.at` gives
+(``half_gap_hat``, ``unrestricted_hat``, and ``cell_forms``, each active-set
+regulation on its equitable quotient).  :meth:`MarketPrimitives.at` gives
 the same market at another spillover, or at a column of them, sharing the
 second kind and starting the first empty.
 
@@ -72,8 +73,9 @@ class MarketPrimitives:
     ``0 <= delta`` with ``delta * lambda_1 < 1``.
 
     Cached on first use: ``h_hat`` and ``projections`` depend on ``delta``;
-    ``half_gap_hat`` and ``unrestricted_hat`` depend on ``(G, a, c)`` alone,
-    and :meth:`at` hands them to the same market at other spillovers.
+    ``half_gap_hat``, ``unrestricted_hat`` and ``cell_forms`` depend on
+    ``(G, a, c)`` alone, and :meth:`at` hands them to the same market at
+    other spillovers.  ``delta`` is one value; :meth:`at` takes a column.
     """
 
     net: Network
@@ -95,6 +97,11 @@ class MarketPrimitives:
         if not np.all(a > c):
             i = int(np.argmin(a - c))
             raise ValidationError(f"need a > c everywhere; a[{i}]={a[i]} <= c[{i}]={c[i]}")
+        if np.ndim(self.delta) != 0:
+            raise DimensionMismatchError(
+                f"delta must be one value, got shape {np.shape(self.delta)}; "
+                f"MarketPrimitives.at takes a column of spillovers"
+            )
         netmod.check_spillover(self.net, self.delta)
         a.setflags(write=False)
         c.setflags(write=False)
@@ -155,6 +162,13 @@ class MarketPrimitives:
         return h
 
     @cached_property
+    def cell_forms(self) -> dict:
+        """Memo of ``regulation._cell_form``: each box or difference-cap
+        set in the cell coordinates of its equitable partition, or None.  It
+        does not depend on delta, so :meth:`at` shares it."""
+        return {}
+
+    @cached_property
     def projections(self) -> dict:
         """Memo of ``regulation.project``: the read-only regulated price of
         each regulation, keyed by the regulation object (by identity for the
@@ -164,7 +178,7 @@ class MarketPrimitives:
 
 
 # the caches that `MarketPrimitives.at` shares across spillovers
-_DELTA_FREE = ("half_gap_hat", "unrestricted_hat")
+_DELTA_FREE = ("half_gap_hat", "unrestricted_hat", "cell_forms")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ stay within about 1e-15 relative as ``delta`` approaches ``1/lambda_1``; a
 raw ``H v`` is accurate to about ``eps / (1 - delta*lambda_1)`` relative.
 """
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -302,6 +303,57 @@ def is_regular(net: Network) -> bool:
     deg = (net.adjacency * scale).sum(axis=1)
     spread = float(deg.max() - deg.min())
     return spread <= DEGREE_TOL * max(scale, float(deg.max()))
+
+
+def _labels(keys):
+    # one label per distinct row of keys, equal rows sharing one
+    return np.unique(keys, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+def equitable_partition(net: Network, colours=None, weights=None) -> np.ndarray:
+    """Coarsest equitable partition of ``net`` that refines ``colours``:
+    a cell label in ``0..k-1`` per node.
+
+    A partition is equitable when every node of one cell sends the same
+    total weight into each cell; its cell-averaging projector then commutes
+    with G (Godsil & Royle, *Algebraic Graph Theory*, ch. 9).  Colour
+    refinement (Cardon & Crochemore 1982) finds it: starting from the cells
+    of equal ``colours`` (a value, or a row of values, per node; one cell
+    when None), it splits cells by each node's weight sums into the cells
+    until no cell splits.  ``weights`` is an optional second symmetric
+    weighted graph (difference caps) refined against at the same time; its
+    +inf entries are counted, not summed.
+
+    Sums are compared exactly: ``math.fsum`` rounds once, so equal real
+    sums give equal keys.  Refinement stops as soon as every node has its
+    own cell, and a sum past the largest double leaves every node its own
+    cell.
+    """
+    n = net.n
+    cells = np.zeros(n, dtype=np.intp) if colours is None else _labels(np.asarray(colours).reshape(n, -1))
+    graphs = [net.adjacency]
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        infinite = np.isinf(weights)
+        graphs += [np.where(infinite, 0.0, weights), infinite.astype(float)] if infinite.any() else [weights]
+    count = int(cells.max()) + 1
+    while count < n:
+        keys = [cells]
+        for j in range(count):
+            members = np.flatnonzero(cells == j)
+            for g in graphs:
+                if members.size == 1:  # one weight: its own exact sum
+                    keys.append(g[:, members[0]])
+                    continue
+                try:
+                    keys.append(list(map(math.fsum, g[:, members].tolist())))
+                except OverflowError:
+                    return np.arange(n)
+        cells = _labels(np.column_stack(keys))
+        if int(cells.max()) + 1 == count:
+            break
+        count = int(cells.max()) + 1
+    return cells
 
 
 def demean(z) -> np.ndarray:

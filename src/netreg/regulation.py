@@ -26,9 +26,28 @@ violated halfspace, drops faces whose multipliers reach zero, and stops
 once no halfspace is violated by more than
 ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1``.  It keeps the active Gram
 matrix itself, not its inverse, and solves it once per step.  An empty
-feasible set raises ``InfeasibleError``.  ``project`` memoises its price
-per ``(prim, k)`` on the primitives and returns it read-only, so the
-outcome, the gap and the certificate of one set share one projection.
+feasible set raises ``InfeasibleError``.
+
+A box or difference-cap set whose data respect the network's types is
+projected by the same method on the equitable quotient: the partition of
+the markets refined from ``p_ur`` and the set's bounds by colour refinement
+against G, and against the caps D as a second graph
+(``network.equitable_partition``).  The H-projection is then constant on
+cells, so the method runs in k cell coordinates ``z = C^{1/2} y`` (C the
+cell sizes) with ``g = Q_s = C^{-1/2} P'GP C^{-1/2}`` in place of G, and the
+result is lifted as ``p_ur + (z - z_ur)/C^{1/2}`` on each cell's markets.
+The checks are exact: the partition has fewer than n cells (``p_ur`` with n
+distinct values needs one sort to rule it out), the bounds are
+colours and so constant on cells, and D is constant on every pair of
+distinct cells (pairs inside a cell need no check, since their price
+differences are zero).  Otherwise, and for every ``Halfspaces`` set, the
+method runs on all n markets.  The partition and the cell data do not
+depend on delta and are memoised per regulation in ``prim.cell_forms``,
+which ``MarketPrimitives.at`` shares, so a sweep forms them once.
+
+``project`` memoises its price per ``(prim, k)`` on the primitives and
+returns it read-only, so the outcome, the gap and the certificate of one
+set share one projection.
 
 Efficiency analysis: an equilibrium sits on the Pareto frontier iff the
 feasible set contains a frontier-family price and stays inside the
@@ -43,6 +62,7 @@ inefficient / neutral / efficient (``classify_limit``).
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +88,7 @@ from .market import (
     unrestricted_price,
     welfare_outcome,
 )
-from .network import eigencentrality, h_apply
+from .network import eigencentrality, equitable_partition, h_apply
 
 ACTIVE_SET_TOL = 1e-12
 ACTIVE_SET_STEPS_PER_HALFSPACE = 10
@@ -261,8 +281,10 @@ def contains(prim: MarketPrimitives, k: RegulationSet, p) -> bool:
     return bool(np.all(vmat @ p <= offsets + scale * (1.0 + np.abs(vmat).sum(axis=1))))
 
 
-def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
-    """Goldfarb-Idnani dual active-set projection of q in the H metric.
+def _active_set_projection(delta, g, vmat, offsets, q):
+    """Goldfarb-Idnani dual active-set projection of q onto ``V x <= m`` in
+    the metric ``H = (I - delta*g)^-1``, for a symmetric ``g``: G itself, or
+    the quotient matrix of an equitable partition (see :func:`_cell_form`).
 
     Keeps ``H(q - x) = V_A' mu`` with ``mu >= 0`` and the active faces
     ``V_A x = b_A`` while it adds the most violated halfspace p: the
@@ -324,7 +346,7 @@ def _active_set_projection(prim: MarketPrimitives, vmat, offsets, q):
                 if not violated:
                     return x
             v_p = vmat[p]
-            hv_p = v_p - prim.delta * (prim.net.adjacency @ v_p)
+            hv_p = v_p - delta * (g @ v_p)
             curvature = float(v_p @ hv_p)  # v' Hinv v > 0
             mu_p = 0.0
         k = len(active)
@@ -407,7 +429,10 @@ def project(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     active-set method over ``halfspace_form(k)`` at one spillover; it
     returns once no halfspace is violated by more than
     ``ACTIVE_SET_TOL * (1 + max|p_ur|) * ||v||_1`` and raises
-    ``InfeasibleError`` when the set is empty.
+    ``InfeasibleError`` when the set is empty.  A box or difference caps
+    that pass the exact cell-invariance checks of the module docstring run
+    the same method on the cells of their equitable partition instead of
+    the n markets, and a set that binds nowhere returns ``p_ur``'s bits.
 
     The result is memoised per ``(prim, k)`` in ``prim.projections``, so the
     outcome, the gap and the certificate of one set share one projection;
@@ -432,15 +457,89 @@ def _closed_form(k: RegulationSet) -> bool:
     )
 
 
+class _CellForm(NamedTuple):
+    """A cell-invariant set in cell coordinates ``z = C^{1/2} y``, where a
+    price constant on cells is ``p = y[labels]`` and C holds the cell sizes."""
+
+    labels: np.ndarray  # the cell of each market
+    root: np.ndarray  # C^{1/2}
+    quotient: np.ndarray  # Q_s = C^{-1/2} P'GP C^{-1/2}
+    rows: np.ndarray
+    offsets: np.ndarray
+    z_ur: np.ndarray  # the unrestricted price, C^{1/2} y_ur
+
+
+def _cell_form(prim: MarketPrimitives, k: RegulationSet) -> _CellForm | None:
+    """``k`` in the cell coordinates of the equitable partition of G
+    coloured by ``p_ur`` and k's bounds (refined against the caps D as a
+    second graph); None when ``k`` is not a box or difference caps, the
+    partition has n cells, or a cap varies within a pair of distinct cells.
+
+    The cell-averaging projector X of an equitable partition commutes with
+    G, hence with H, and ``X p_ur = p_ur``.  A box whose bounds are constant
+    on cells (they are colours), or caps D constant on every pair of
+    distinct cells, has ``X K ⊆ K`` (an average of differences is within
+    the cap; pairs inside a cell have none), so the H-projection is constant
+    on cells.  On those prices the metric is ``(I - delta*Q_s)^-1``, and the
+    set is k's halfspaces among the cells' first markets, each column scaled
+    by ``C^{-1/2}``.  All of this is delta-free: ``_projected`` memoises it
+    in ``prim.cell_forms``, which ``at`` shares.
+    """
+    if not isinstance(k, (Box, PriceDifference)):
+        return None
+    q, n = unrestricted_price(prim), prim.n
+    ordered = np.sort(q)  # np.unique of floats would import numpy.ma
+    if np.all(ordered[1:] != ordered[:-1]):
+        return None  # every market its own cell already
+    if isinstance(k, Box):
+        _check_dim(k.lower.shape[0], n)
+        labels = equitable_partition(prim.net, np.column_stack([q, k.lower, k.upper]))
+    else:
+        _check_dim(k.delta_matrix.shape[0], n)
+        labels = equitable_partition(prim.net, q, k.delta_matrix)
+    sizes = np.bincount(labels)
+    count = sizes.shape[0]
+    if count == n:
+        return None
+    order = np.argsort(labels, kind="stable")  # the markets cell by cell
+    starts = np.cumsum(sizes) - sizes
+    first = order[starts]
+    if isinstance(k, Box):
+        cells = Box(lower=k.lower[first], upper=k.upper[first])
+    else:
+        caps = k.delta_matrix[np.ix_(first, first)]
+        apart = labels[:, None] != labels
+        if not np.array_equal(k.delta_matrix[apart], caps[np.ix_(labels, labels)][apart]):
+            return None
+        cells = PriceDifference(delta_matrix=caps)
+    root = np.sqrt(sizes)
+    rows, offsets = halfspace_form(cells, count)
+    # each market of cell I sends the weight s_IJ into cell J, and
+    # Q_s[I, J] = s_IJ * sqrt(C_I / C_J), symmetric
+    into = np.add.reduceat(prim.net.adjacency[first][:, order], starts, axis=1)
+    quotient = into * root[:, None] / root
+    return _CellForm(labels, root, 0.5 * (quotient + quotient.T), rows / root, offsets, root * q[first])
+
+
 def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     q = unrestricted_price(prim)
     if not _closed_form(k):
         if isinstance(prim.delta, np.ndarray):
             raise UnsupportedRegulationError(f"kind {k.kind!r} has no closed form: project one spillover at a time")
-        vmat, offsets = halfspace_form(k, prim.n)
+        if k not in prim.cell_forms:
+            prim.cell_forms[k] = _cell_form(prim, k)
+        cells = prim.cell_forms[k]
+        if cells is None:
+            g, start, (vmat, offsets) = prim.net.adjacency, q, halfspace_form(k, prim.n)
+        else:
+            g, start, vmat, offsets = cells.quotient, cells.z_ur, cells.rows, cells.offsets
         if offsets.shape[0] == 0:
             return q  # every bound infinite
-        return _active_set_projection(prim, vmat, offsets, q)
+        x = _active_set_projection(prim.delta, g, vmat, offsets, start)
+        if cells is None:
+            return x
+        # lifted relative to p_ur, so that a slack set returns p_ur's bits
+        return q + ((x - start) / cells.root)[cells.labels]
     if isinstance(k, Unrestricted):
         return _rows(prim, q)
     if isinstance(k, PriceDifference):

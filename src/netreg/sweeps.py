@@ -12,7 +12,12 @@ grow with the grid.  A block is that market at a column of spillovers,
 ``market.at(deltas[:, None])``, checked in one pass.
 ``regulation.gap_parts`` projects a block's closed-form rows (unrestricted,
 uniform, zero caps, a point box, an average-price cap) in one
-``regulation.project`` call, and active-set rows one by one.  It then
+``regulation.project`` call, and active-set rows one by one.  The rows of
+an active-set sweep share the delta-free cell data of its regulation
+(``prim.cell_forms``): a box or difference caps that respect the network's
+types, as in the named difference-cap families, are partitioned into
+equitable cells once per sweep, and each row solves a problem in one
+variable per cell, not per market.  It then
 evaluates the ratios, the frontier root and the gap for the whole block at
 once with the row-wise routines of ``market`` and ``pareto``;
 ``a_statistic`` follows.  Nothing carries from row to row and a row's bits

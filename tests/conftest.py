@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,22 @@ def random_primitives(rng, net, delta_fraction=None, zero_cost=False):
     lam1 = net.lambda1
     delta = delta_fraction / lam1 if lam1 > 0 else 0.0
     return netreg.MarketPrimitives(net=net, a=a, c=c, delta=delta)
+
+
+@contextlib.contextmanager
+def active_set_columns():
+    """The number of coordinates of each active-set projection run inside
+    the block: n for a full projection, the cell count on a quotient."""
+    solver = netreg.regulation._active_set_projection
+    columns = []
+
+    def spy(delta, g, vmat, offsets, q):
+        columns.append(vmat.shape[1])
+        return solver(delta, g, vmat, offsets, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netreg.regulation, "_active_set_projection", spy)
+        yield columns
 
 
 @pytest.fixture

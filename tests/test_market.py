@@ -50,6 +50,11 @@ class TestPrimitivesValidation:
         with pytest.raises(netreg.DimensionMismatchError):
             netreg.MarketPrimitives(net=dyad, a=np.ones(3), c=np.zeros(3), delta=0.1)
 
+    @pytest.mark.parametrize("delta", [np.array([[0.1], [0.2]]), np.array([0.1, 0.2])], ids=["column", "vector"])
+    def test_spillover_array(self, dyad, delta):
+        with pytest.raises(netreg.DimensionMismatchError, match=r"MarketPrimitives\.at"):
+            netreg.MarketPrimitives(net=dyad, a=np.array([2.0, 2.0]), c=np.zeros(2), delta=delta)
+
 
 class TestDemand:
     def test_zero_at_a(self, rng):

@@ -1,4 +1,5 @@
 import gc
+import math
 import warnings
 import weakref
 
@@ -540,6 +541,66 @@ class TestRegularity:
         assert np.all(np.isfinite(net.spectrum.eigenvalues))
         assert not netreg.is_regular(net)
         assert netreg.is_regular(netreg.build_network([[0.0, 1e308], [1e308, 0.0]]))
+
+
+def _equitable(g, cells):
+    """Whether every market of a cell sends one exact weight sum into each cell."""
+    sums = [[math.fsum(g[i, cells == j]) for j in range(cells.max() + 1)] for i in range(len(cells))]
+    return all(sums[i] == sums[j] for i in range(len(cells)) for j in range(len(cells)) if cells[i] == cells[j])
+
+
+def _cells(labels):
+    return sorted(np.flatnonzero(labels == j).tolist() for j in range(labels.max() + 1))
+
+
+class TestEquitablePartition:
+    def test_named_graphs(self, core_periphery, dyad):
+        assert _cells(netreg.equitable_partition(core_periphery)) == [[0, 1, 2], [3, 4, 5, 6, 7, 8]]
+        assert _cells(netreg.equitable_partition(netreg.gen_complete_bipartite(2, 10))) == [[0, 1], list(range(2, 12))]
+        assert _cells(netreg.equitable_partition(netreg.gen_complete(9))) == [list(range(9))]
+        assert _cells(netreg.equitable_partition(dyad)) == [[0, 1]]
+
+    def test_colours_are_refined(self, core_periphery):
+        colours = np.zeros(9)
+        colours[0] = 1.0  # one core market apart, and then its leaves
+        cells = netreg.equitable_partition(core_periphery, colours)
+        assert _cells(cells) == [[0], [1, 2], [3, 4], [5, 6, 7, 8]]
+        assert _equitable(core_periphery.adjacency, cells)
+
+    def test_rows_of_colours(self, core_periphery):
+        colours = np.zeros((9, 2))
+        colours[3, 1] = -np.inf
+        assert len(_cells(netreg.equitable_partition(core_periphery, colours))) == 5
+
+    def test_random_graphs(self, rng):
+        for n in (5, 12, 30):
+            g = ring_with_chords(rng, n, n // 2)
+            cells = netreg.equitable_partition(netreg.build_network(g))
+            assert _equitable(g, cells)
+
+    def test_sums_compared_exactly(self):
+        # x and y send 0.1 + 0.2 + 0.3 into the b's in two orders, which
+        # a left-to-right float sum rounds apart (0.6000000000000001 vs 0.6)
+        g = np.zeros((5, 5))
+        g[0, 2:] = [0.1, 0.2, 0.3]
+        g[1, 2:] = [0.3, 0.2, 0.1]
+        g = g + g.T
+        assert (g[0, 2] + g[0, 3]) + g[0, 4] != (g[1, 2] + g[1, 3]) + g[1, 4]
+        assert _cells(netreg.equitable_partition(netreg.build_network(g))) == [[0, 1], [2, 3, 4]]
+
+    def test_second_graph_and_its_infinities(self):
+        net = netreg.gen_complete(4)
+        caps = np.ones((4, 4)) - np.eye(4)
+        assert _cells(netreg.equitable_partition(net, weights=caps)) == [[0, 1, 2, 3]]
+        caps[0, 1] = caps[1, 0] = caps[2, 3] = caps[3, 2] = np.inf  # one uncapped pair each
+        assert _cells(netreg.equitable_partition(net, weights=caps)) == [[0, 1, 2, 3]]
+        caps[2, 3] = caps[3, 2] = 1.0
+        assert _cells(netreg.equitable_partition(net, weights=caps)) == [[0, 1], [2, 3]]
+
+    def test_overflowing_sums_leave_every_node_alone(self):
+        star = np.zeros((4, 4))
+        star[0, 1:] = star[1:, 0] = 1e308
+        assert _cells(netreg.equitable_partition(netreg.build_network(star))) == [[0], [1], [2], [3]]
 
 
 class TestVectorHelpers:

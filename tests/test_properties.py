@@ -7,7 +7,10 @@ when ``scipy.optimize.linprog`` finds the set empty; a box and the same
 floors and ceilings written as halfspaces give one price.  Under every
 regulation kind, a sweep row has the same bits whether its grid is swept
 whole, shuffled, cut into pieces or evaluated one point at a time, and a
-row that fails fails with the single point's error.
+row that fails fails with the single point's error.  On complete
+multipartite and core-periphery graphs with data constant on their parts, a
+box or cap set is projected on its equitable quotient and matches the
+method on all n markets; a set that varies inside a part leaves it.
 """
 
 import numpy as np
@@ -16,6 +19,8 @@ import pytest
 import netreg
 from netreg.regulation import gap_parts
 from netreg.scenario import Scenario
+
+from conftest import active_set_columns
 
 pytest.importorskip("hypothesis")
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -214,3 +219,117 @@ def test_sweep_rows_do_not_depend_on_their_block(kind, data):
     else:
         got = [np.array([*netreg.project(market.at(r.delta), k), r.r_v_star, r.r_pi_star, r.a_stat, r.gap]).tobytes() for r in rows]
         assert got == expected
+
+
+@st.composite
+def cell_markets(draw):
+    """A complete multipartite or core-periphery graph whose values and
+    costs are constant on its parts, or on its core and its periphery, at a
+    spillover from 0.3 to 1 - 1e-6 of the bound; with the part of each
+    market."""
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+        parts = np.repeat(np.arange(len(sizes)), sizes)
+        net = netreg.build_network((parts[:, None] != parts).astype(float))
+    else:
+        core, leaves = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+        parts = np.repeat([0, 1], [core, core * leaves])
+        net = netreg.gen_core_periphery(core, leaves)
+    k = int(parts.max()) + 1
+    fraction = draw(st.floats(0.3, 1.0 - 1e-6))
+    prim = netreg.MarketPrimitives(
+        net=net, a=draw(_vector(k, 5.0, 25.0))[parts], c=draw(_vector(k, 0.0, 3.0))[parts], delta=fraction / net.lambda1
+    )
+    return prim, parts
+
+
+@st.composite
+def cell_sets(draw, prim, parts):
+    """A box with bounds constant on parts, or caps constant on each pair
+    of parts (and inside each part), each absent at random."""
+    k = int(parts.max()) + 1
+    if draw(st.booleans()):
+        bounds = {side: draw(_vector(k, 0.0, 30.0)) for side in ("lower", "upper")}
+        lower, upper = np.minimum(*bounds.values()), np.maximum(*bounds.values())
+        lower = np.where(draw(arrays(bool, k)), -np.inf, lower)
+        upper = np.where(draw(arrays(bool, k)), np.inf, upper)
+        return netreg.Box(lower=lower[parts], upper=upper[parts])
+    caps = np.where(draw(arrays(bool, (k, k))), np.inf, draw(arrays(float, (k, k), elements=st.floats(0.1, 5.0))))
+    caps = np.triu(caps) + np.triu(caps, 1).T
+    full = caps[np.ix_(parts, parts)]
+    np.fill_diagonal(full, 0.0)
+    return netreg.PriceDifference(delta_matrix=full)
+
+
+def _projected_columns(prim, reg):
+    """``project``'s price and the number of coordinates of each
+    active-set projection it ran."""
+    with active_set_columns() as columns:
+        return netreg.project(prim, reg), columns
+
+
+def _full_n(prim, reg):
+    """The same method on all n coordinates of the set."""
+    vmat, offsets = netreg.regulation.halfspace_form(reg, prim.n)
+    pur = netreg.unrestricted_price(prim)
+    if offsets.shape[0] == 0:
+        return pur
+    return netreg.regulation._active_set_projection(prim.delta, prim.net.adjacency, vmat, offsets, pur)
+
+
+def _assert_matches_full_n(prim, reg, price):
+    full = _full_n(prim, reg)
+    assert np.abs(price - full).max() <= 1e-12 * max(1.0, float(np.abs(full).max()))
+    assert netreg.regulation.contains(prim, reg, price)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_cell_invariant_sets_project_on_the_quotient(data):
+    prim, parts = data.draw(cell_markets())
+    reg = data.draw(cell_sets(prim, parts))
+    price, columns = _projected_columns(prim, reg)
+    _assert_matches_full_n(prim, reg, price)
+    assert all(column <= parts.max() + 1 for column in columns)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_sets_that_vary_within_a_cell_leave_it(data):
+    """Caps that vary within one pair of parts, with the row sums the
+    refinement sees unchanged, are projected on all n markets.  A ceiling
+    that moves at one market by one ulp makes that market a colour of its
+    own: the projection runs on the finer equitable partition, which has n
+    cells when nothing else is alike."""
+    prim, parts = data.draw(cell_markets())
+    k = int(parts.max()) + 1
+    pur = netreg.unrestricted_price(prim)
+    sizes = np.bincount(parts)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if sizes[i] == sizes[j] >= 2]
+    if pairs and pur[parts == pairs[0][0]][0] != pur[parts == pairs[0][1]][0]:
+        i, j = pairs[0]
+        caps = data.draw(arrays(float, (k, k), elements=st.floats(0.1, 5.0)))
+        caps = np.triu(caps) + np.triu(caps, 1).T
+        full = caps[np.ix_(parts, parts)]
+        rows, cols = np.flatnonzero(parts == i), np.flatnonzero(parts == j)
+        full[rows, cols] = full[cols, rows] = caps[i, j] + data.draw(st.floats(0.1, 1.0))  # a matching
+        np.fill_diagonal(full, 0.0)
+        reg = netreg.PriceDifference(delta_matrix=full)
+        price, columns = _projected_columns(prim, reg)
+        assert columns == [prim.n]
+        _assert_matches_full_n(prim, reg, price)
+    box = data.draw(cell_sets(prim, parts).filter(lambda reg: isinstance(reg, netreg.Box)))
+    market = data.draw(st.integers(0, prim.n - 1))
+    upper = box.upper.copy()
+    upper[market] = np.nextafter(upper[market], np.inf)
+    reg = netreg.Box(lower=box.lower, upper=upper)
+
+    def partition(k):
+        return netreg.network.equitable_partition(prim.net, np.column_stack([pur, k.lower, k.upper]))
+
+    before, after = partition(box), partition(reg)
+    if np.isfinite(upper[market]) and np.count_nonzero(before == before[market]) > 1:
+        assert np.count_nonzero(after == after[market]) < np.count_nonzero(before == before[market])
+    price, columns = _projected_columns(prim, reg)
+    assert columns in ([], [int(after.max()) + 1])
+    _assert_matches_full_n(prim, reg, price)

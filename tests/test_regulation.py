@@ -7,7 +7,7 @@ import netreg
 from netreg.market import delta_near_bound, half_gap, quad_form_h
 from netreg.regulation import Classification, halfspace_form
 
-from conftest import random_connected_network, random_primitives
+from conftest import active_set_columns, random_connected_network, random_primitives
 from qp_oracle import project_oracle
 
 
@@ -720,3 +720,128 @@ class TestGap:
         g_near = netreg.gap(cp_prim(1.0 - 1e-4), netreg.Uniform())
         assert g_near < g_half
         assert g_near < 1e-2
+
+
+def tripartite_prim(delta_fraction, sizes=(2, 3, 4), a=(21.0, 15.0, 9.0), c=(1.0, 2.5, 0.5)):
+    """Complete tripartite markets with values and costs constant on parts."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    net = netreg.build_network((labels[:, None] != labels).astype(float))
+    return netreg.MarketPrimitives(
+        net=net, a=np.array(a)[labels], c=np.array(c)[labels], delta=delta_fraction / net.lambda1
+    ), labels
+
+
+class TestCellQuotient:
+    def test_slack_caps_return_the_unrestricted_bits(self):
+        # p_ur = (6, 14.2) on cells of 3 and 6, whose cell coordinates
+        # z = C^{1/2} y do not round-trip: (z / C^{1/2}) and z * C^{-1/2} miss y
+        prim = cp_prim(1.0 - 1e-6, theta=(12.0, 28.4))
+        with active_set_columns() as columns:
+            price = netreg.project(prim, netreg.PriceDifference(delta_matrix=100.0 * (1.0 - np.eye(9))))
+        assert columns == [2]
+        assert price.tobytes() == netreg.unrestricted_price(prim).tobytes()
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0 - 1e-6])
+    def test_binding_sets_match_full_n(self, fraction):
+        prim, labels = tripartite_prim(fraction)
+        pur = netreg.unrestricted_price(prim)
+        caps = np.array([[0.0, 2.0, 4.0], [2.0, 0.0, 1.0], [4.0, 1.0, 0.0]])[np.ix_(labels, labels)]
+        for reg in (
+            netreg.Box(lower=np.full(9, -np.inf), upper=pur - np.array([1.0, 0.0, 3.0])[labels]),
+            netreg.PriceDifference(delta_matrix=caps),
+        ):
+            with active_set_columns() as columns:
+                got = netreg.project(prim, reg)
+            assert columns == [3]
+            full = netreg.regulation._active_set_projection(prim.delta, prim.net.adjacency, *halfspace_form(reg, 9), pur)
+            assert np.abs(got - full).max() <= 1e-12 * np.abs(full).max()
+            assert netreg.regulation.contains(prim, reg, got)
+
+    def test_partition_formed_once_per_sweep(self, monkeypatch):
+        partition = netreg.regulation.equitable_partition
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return partition(*args)
+
+        monkeypatch.setattr(netreg.regulation, "equitable_partition", counting)
+        (scenario,) = [s for stem, s in netreg.sweeps.experiment_scenarios("figB4a", 12).items() if stem.endswith("cap2.5")]
+        rows = netreg.run_sweep(scenario)
+        assert len(calls) == 1 and len(rows) == 12
+        assert all(row.r_pi_star < 1.0 for row in rows)  # every row binds
+
+    def test_distinct_values_skip_the_partition(self, rng, monkeypatch):
+        monkeypatch.setattr(netreg.regulation, "equitable_partition", None)  # must not be called
+        prim = random_primitives(rng, netreg.gen_core_periphery(3, 2), delta_fraction=0.9)
+        with active_set_columns() as columns:
+            netreg.project(prim, random_box(rng, prim))
+        assert columns == [9]
+
+    def test_caps_that_vary_within_a_pair_go_full_n(self):
+        # equal row sums keep the cells of the refinement; the cap check rejects them
+        prim, labels = tripartite_prim(0.9, sizes=(3, 3, 2))
+        caps = np.where(labels[:, None] == labels, 0.5, 2.0)
+        caps[np.arange(3), np.arange(3, 6)] = caps[np.arange(3, 6), np.arange(3)] = 1.0
+        np.fill_diagonal(caps, 0.0)
+        reg = netreg.PriceDifference(delta_matrix=caps)
+        assert len(set(netreg.network.equitable_partition(prim.net, netreg.unrestricted_price(prim), caps))) == 3
+        with active_set_columns() as columns:
+            price = netreg.project(prim, reg)
+        assert columns == [8]
+        assert netreg.regulation.contains(prim, reg, price)
+
+
+def _kkt_reference(prim, reg, price):
+    """The 50-digit H-projection x of p_ur onto the faces of
+    ``halfspace_form`` tight at ``price``, checked to be the projection onto
+    the whole set: x meets every face, and the faces' multipliers are
+    nonnegative.
+
+    The faces may be dependent (caps between two cells of several markets),
+    so x is solved on the first independent ones, which span the same
+    normals; the multipliers are the minimum-norm solution of
+    ``V_A' mu = H (p_ur - x)``, found in the row space of ``V_A``.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    vmat, offsets = halfspace_form(reg, prim.n)
+    tight = np.flatnonzero(vmat @ price >= offsets - 1e-9 * (1.0 + np.abs(price).max()))
+    basis = []
+    for i in tight:
+        if np.linalg.matrix_rank(vmat[basis + [i]]) == len(basis) + 1:
+            basis.append(i)
+    with mpmath.workdps(50):
+        hinv = mpmath.eye(prim.n) - mpmath.mpf(prim.delta) * mpmath.matrix(prim.net.adjacency.tolist())
+        pur = mpmath.matrix(netreg.unrestricted_price(prim).tolist())
+        v_all, b_all = mpmath.matrix(vmat.tolist()), mpmath.matrix(offsets.tolist())
+        v_a, v_s = mpmath.matrix(vmat[tight].tolist()), mpmath.matrix(vmat[basis].tolist())
+        nu = mpmath.lu_solve(v_s * hinv * v_s.T, v_s * pur - mpmath.matrix(offsets[basis].tolist()))
+        x = pur - hinv * v_s.T * nu
+        t = mpmath.lu_solve(v_s * v_a.T * v_a * v_s.T, v_s * v_s.T * nu)
+        mu = v_a * v_s.T * t
+        slack = v_all * x - b_all
+        assert max(slack[i] for i in range(slack.rows)) <= mpmath.mpf(10) ** -40  # x is feasible
+        assert min(mu[i] for i in range(mu.rows)) >= -mpmath.mpf(10) ** -40  # and optimal
+        return [x[i] for i in range(prim.n)]
+
+
+class TestCellQuotientReference:
+    @pytest.mark.parametrize("kind", ["box", "caps"])
+    def test_near_bound_against_50_digits(self, kind):
+        mpmath = pytest.importorskip("mpmath")
+        prim, labels = tripartite_prim(1.0 - 1e-6)
+        pur = netreg.unrestricted_price(prim)
+        if kind == "box":
+            # ceilings under two parts' prices, one within 1e-3 of p_ur; the third free
+            reg = netreg.Box(lower=pur - 5.0, upper=pur - np.array([1e-3, 2.0, -np.inf])[labels])
+        else:
+            gaps = np.array([[0.0, 3.0, 6.5], [3.0, 0.0, 2.0], [6.5, 2.0, 0.0]])
+            reg = netreg.PriceDifference(delta_matrix=gaps[np.ix_(labels, labels)])
+        with active_set_columns() as columns:
+            price = netreg.project(prim, reg)
+        assert columns == [3]
+        with mpmath.workdps(50):
+            exact = _kkt_reference(prim, reg, price)
+            scale = max(abs(e) for e in exact)
+            err = max(abs(mpmath.mpf(float(p)) - e) for p, e in zip(price, exact)) / scale
+        assert float(err) <= 1e-15
