@@ -11,7 +11,6 @@ sets, projection pricing, efficiency certificates, limit classification),
 
 from .errors import (
     AssumptionViolatedError,
-    BadPartitionError,
     DimensionMismatchError,
     DisconnectedError,
     EtaOutOfRangeError,
@@ -32,7 +31,6 @@ from .errors import (
     SweepError,
     UnknownExperimentError,
     UnsupportedRegulationError,
-    UnverifiedPartitionError,
     ValidationError,
     ZeroVectorError,
 )
@@ -101,7 +99,6 @@ from .regulation import (
 )
 from .discrimination import (
     PsiStatistic,
-    TwoTypePartition,
     WelfareDirection,
     a_stat_uniform,
     psi,
@@ -109,7 +106,6 @@ from .discrimination import (
     regular_graph_rv_shift,
     small_delta_gain,
     two_type_welfare_direction,
-    verify_two_type,
     welfare_direction_large_delta,
 )
 from .scenario import Scenario, delta_grid, format_scenario, parse_scenario, scenario_text

@@ -9,9 +9,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .discrimination import WelfareDirection, welfare_direction_large_delta
+import numpy as np
+
+from .discrimination import WelfareDirection, two_type_welfare_direction, welfare_direction_large_delta
 from .errors import NetregError, NumericalError, UnsupportedRegulationError, ValidationError
 from .market import MarketPrimitives
+from .network import equitable_partition
 from .regulation import classify_limit, pareto_certificate
 from .scenario import parse_scenario
 from .sweeps import EXPERIMENT_NAMES, emit_csv, run_named_experiment, run_sweep
@@ -69,6 +72,10 @@ def cmd_analyze(args) -> int:
         )
         print(f"limit ratios: surplus {limit.limit_r_v:.6g}   profit {limit.limit_r_pi:.6g}")
 
+    sizes = np.sort(np.bincount(equitable_partition(scenario.network)))
+    two_type = sizes.shape[0] == 2
+    print(f"network types: {sizes.shape[0]}" + (f" (of {sizes[0]} and {sizes[1]} markets)" if two_type else ""))
+
     try:
         if scenario.c.any():
             raise ValidationError("marginal costs are nonzero")
@@ -82,6 +89,9 @@ def cmd_analyze(args) -> int:
             WelfareDirection.INDETERMINATE: "indeterminate",
         }
         print(f"uniform-pricing welfare direction: {wording[direction]}")
+        if two_type:
+            by_type = two_type_welfare_direction(scenario.network, scenario.a)
+            print(f"two-type welfare direction: {wording[by_type]}")
     return 0
 
 
@@ -103,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--count", type=int, default=60, help="grid points per sweep")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_an = sub.add_parser("analyze", help="one-shot efficiency and limit classification")
+    p_an = sub.add_parser("analyze", help="one-shot efficiency, limit and network-type analysis")
     p_an.add_argument("scenario", help="scenario file path")
     p_an.add_argument(
         "--delta-fraction",

@@ -13,13 +13,12 @@ the bound when ``corr(psi, a) > 0`` and lose when it is negative.  psi sums
 to zero, correlates positively with the demeaned eigencentrality, and
 vanishes exactly on regular graphs (where ``s_i = 0`` for ``i >= 2``).
 
-For two-type networks (node set splits into two internally symmetric
-classes, e.g. core-periphery or complete bipartite), psi and the
-eigencentrality are two-valued and the welfare direction collapses to
-comparing the average intrinsic value of the two classes.
-``verify_two_type`` checks the spectral necessary conditions for a
-user-supplied split (constancy per part, at nonzero levels); it does not
-compute automorphism groups.
+On a two-type network (e.g. core-periphery or complete bipartite) psi and
+the eigencentrality are two-valued and the welfare direction collapses to
+comparing the average intrinsic value of the two types.  The types are
+detected, not supplied: they are the cells of the network's coarsest
+equitable partition, found exactly by colour refinement, and
+``two_type_welfare_direction`` applies when there are exactly two.
 """
 
 import enum
@@ -27,17 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolatedError,
-    BadPartitionError,
-    NotRegularError,
-    UnverifiedPartitionError,
-)
+from .errors import AssumptionViolatedError, DimensionMismatchError, NotRegularError
 from .market import MarketPrimitives, a_statistic, ratios, unrestricted_price
-from .network import Network, corr, demean, eigencentrality, h_apply, is_regular
+from .network import Network, corr, demean, eigencentrality, equitable_partition, h_apply, is_regular
 from .regulation import uniform_price
-
-CONSTANCY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +109,16 @@ def a_stat_uniform(prim: MarketPrimitives) -> tuple[float, float]:
     return a_statistic(prim, uniform_price(prim)), coeff
 
 
+def _values(net: Network, a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape != (net.n,):
+        raise DimensionMismatchError(f"values shape {a.shape} vs n={net.n}")
+    return a
+
+
 def welfare_direction_large_delta(net: Network, a) -> WelfareDirection:
     """Sign of ``corr(psi, a)``: who wins from a ban under strong spillovers."""
-    a = np.asarray(a, dtype=float)
+    a = _values(net, a)
     _require_ban_assumptions(net, a, None)
     value = corr(psi(net).psi, a)
     if value > 1e-10:
@@ -129,73 +128,25 @@ def welfare_direction_large_delta(net: Network, a) -> WelfareDirection:
     return WelfareDirection.INDETERMINATE
 
 
-@dataclass(frozen=True, eq=False)
-class TwoTypePartition:
-    part1: tuple
-    part2: tuple
-    w1_levels: tuple
-    psi_levels: tuple
-    verified: bool
+def two_type_welfare_direction(net: Network, a) -> WelfareDirection:
+    """Who wins from a ban under strong spillovers on a two-type network,
+    from the two types' average values alone.
 
-
-def verify_two_type(net: Network, part1) -> TwoTypePartition:
-    """Check the spectral necessary conditions for a two-type split.
-
-    ``verified`` means: eigencentrality and psi are constant on each part,
-    at demeaned levels that are not zero (they are zero on a regular
-    graph).  Their level ratios are then ``-|V2|/|V1|``, since both vectors
-    sum to zero.  This is consistency with the two-type structure, not a
-    full symmetry proof.
+    The types are the cells of the coarsest equitable partition of G
+    (:func:`network.equitable_partition`); any other count of cells raises
+    ``AssumptionViolatedError`` (a regular graph has one).  ``w1`` and psi
+    are constant on each cell, and psi and the demeaned ``w1`` sum to zero,
+    so each is a multiple of one vector; ``corr(psi, w1) > 0`` makes psi a
+    positive multiple of the demeaned ``w1``.  The sign of ``<psi, a>`` is
+    then that of the more central type's mean value minus the other's.
     """
-    part1 = tuple(sorted(int(i) for i in part1))
-    if len(set(part1)) != len(part1):
-        raise BadPartitionError("part-1 indices repeat")
-    if not part1 or any(i < 0 or i >= net.n for i in part1):
-        raise BadPartitionError("part 1 must be a nonempty set of valid node indices")
-    if len(part1) == net.n:
-        raise BadPartitionError("part 1 must be a proper subset")
-    part2 = tuple(i for i in range(net.n) if i not in set(part1))
-    w1 = eigencentrality(net)
-    vec = psi(net).psi
-    idx1, idx2 = np.array(part1), np.array(part2)
-
-    def constant_on(values, idx):
-        block = values[idx]
-        return float(np.max(block) - np.min(block)) <= CONSTANCY_TOL * max(
-            1.0, float(np.abs(values).max())
-        )
-
-    w1_levels = (float(w1[idx1].mean()), float(w1[idx2].mean()))
-    psi_levels = (float(vec[idx1].mean()), float(vec[idx2].mean()))
-    # demeaned w1 and psi sum to zero, so |V1|*level1 + |V2|*level2 = 0 for
-    # any split: only a zero level (a regular graph) is left to reject
-    verified = (
-        all(constant_on(values, idx) for values in (w1, vec) for idx in (idx1, idx2))
-        and abs(float(demean(w1)[idx2].mean())) > 1e-12
-        and abs(psi_levels[1]) > 1e-12
-    )
-    return TwoTypePartition(
-        part1=part1,
-        part2=part2,
-        w1_levels=w1_levels,
-        psi_levels=psi_levels,
-        verified=verified,
-    )
-
-
-def two_type_welfare_direction(tt: TwoTypePartition, a) -> WelfareDirection:
-    """Compare average intrinsic values across the two classes.
-
-    The more central class (higher eigencentrality level) is put first, so
-    consumers gain exactly when it also has the higher average value.
-    """
-    if not tt.verified:
-        raise UnverifiedPartitionError("partition failed the two-type checks")
-    a = np.asarray(a, dtype=float)
-    idx1, idx2 = np.array(tt.part1), np.array(tt.part2)
-    if tt.w1_levels[0] < tt.w1_levels[1]:
-        idx1, idx2 = idx2, idx1
-    mean1, mean2 = float(a[idx1].mean()), float(a[idx2].mean())
+    a = _values(net, a)
+    cells = equitable_partition(net)
+    sizes = np.bincount(cells)
+    if sizes.shape[0] != 2:
+        raise AssumptionViolatedError(f"the two-type rule needs 2 network types, found {sizes.shape[0]}")
+    central = int(np.argmax(np.bincount(cells, eigencentrality(net)) / sizes))
+    mean1, mean2 = (float(a[cells == j].mean()) for j in (central, 1 - central))
     scale = 1e-10 * max(1.0, abs(mean1), abs(mean2))
     if mean1 > mean2 + scale:
         return WelfareDirection.CONSUMERS_GAIN

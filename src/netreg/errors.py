@@ -70,14 +70,6 @@ class NotRegularError(ValidationError):
     pass
 
 
-class BadPartitionError(ValidationError):
-    pass
-
-
-class UnverifiedPartitionError(ValidationError):
-    pass
-
-
 class UnsupportedRegulationError(ValidationError):
     pass
 

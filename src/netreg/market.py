@@ -29,10 +29,11 @@ so their rounding errors cancel: ratios stay within about 1e-15 relative as
 A sweep evaluates one market ``(G, a, c)`` at many spillovers.
 :class:`MarketPrimitives` therefore keeps two kinds of cache: data that
 depends on ``delta`` (``h_hat``, the projection memo) and data that does not
-(``half_gap_hat``, ``unrestricted_hat``, and ``cell_forms``, each active-set
-regulation on its equitable quotient).  :meth:`MarketPrimitives.at` gives
-the same market at another spillover, or at a column of them, sharing the
-second kind and starting the first empty.
+(``half_gap_hat``, ``unrestricted_hat``, and ``active_set_inputs``, each
+active-set regulation's halfspaces, on its equitable quotient if it has
+one).  :meth:`MarketPrimitives.at` gives the same market at another
+spillover, or at a column of them, sharing the second kind and starting
+the first empty.
 
 The welfare routines are row-wise: given prices as rows, :func:`ratios` and
 :func:`a_statistic` return one value per row.  A market whose ``delta`` is a
@@ -73,7 +74,7 @@ class MarketPrimitives:
     ``0 <= delta`` with ``delta * lambda_1 < 1``.
 
     Cached on first use: ``h_hat`` and ``projections`` depend on ``delta``;
-    ``half_gap_hat``, ``unrestricted_hat`` and ``cell_forms`` depend on
+    ``half_gap_hat``, ``unrestricted_hat`` and ``active_set_inputs`` depend on
     ``(G, a, c)`` alone, and :meth:`at` hands them to the same market at
     other spillovers.  ``delta`` is one value; :meth:`at` takes a column.
     """
@@ -162,10 +163,11 @@ class MarketPrimitives:
         return h
 
     @cached_property
-    def cell_forms(self) -> dict:
-        """Memo of ``regulation._cell_form``: each box or difference-cap
-        set in the cell coordinates of its equitable partition, or None.  It
-        does not depend on delta, so :meth:`at` shares it."""
+    def active_set_inputs(self) -> dict:
+        """Memo of each active-set regulation's projection input in
+        ``regulation._projected``: its halfspaces on all n markets, or in
+        the cell coordinates of its equitable partition.  It does not depend
+        on delta, so :meth:`at` shares it."""
         return {}
 
     @cached_property
@@ -178,7 +180,7 @@ class MarketPrimitives:
 
 
 # the caches that `MarketPrimitives.at` shares across spillovers
-_DELTA_FREE = ("half_gap_hat", "unrestricted_hat", "cell_forms")
+_DELTA_FREE = ("half_gap_hat", "unrestricted_hat", "active_set_inputs")
 
 
 @dataclass(frozen=True, eq=False)

@@ -296,6 +296,13 @@ def eigencentrality(net: Network) -> np.ndarray:
 
 
 def is_regular(net: Network) -> bool:
+    """Whether every node has one weighted degree, up to a spread of
+    ``DEGREE_TOL`` relative to the largest degree.
+
+    A tolerance, not the exact one-cell test of :func:`equitable_partition`:
+    exact degree sums would overflow on weights near the largest double, and
+    it costs one pass over the adjacency.
+    """
     # weighted degrees of the adjacency scaled below 1 by a power of two,
     # which is exact, so that sums of weights near the largest double stay
     # finite; the verdict is that of the unscaled degrees
@@ -322,7 +329,8 @@ def equitable_partition(net: Network, colours=None, weights=None) -> np.ndarray:
     when None), it splits cells by each node's weight sums into the cells
     until no cell splits.  ``weights`` is an optional second symmetric
     weighted graph (difference caps) refined against at the same time; its
-    +inf entries are counted, not summed.
+    +inf entries are counted, not summed.  ``colours`` must have n rows,
+    or ``DimensionMismatchError`` is raised.
 
     Sums are compared exactly: ``math.fsum`` rounds once, so equal real
     sums give equal keys.  Refinement stops as soon as every node has its
@@ -330,7 +338,13 @@ def equitable_partition(net: Network, colours=None, weights=None) -> np.ndarray:
     cell.
     """
     n = net.n
-    cells = np.zeros(n, dtype=np.intp) if colours is None else _labels(np.asarray(colours).reshape(n, -1))
+    if colours is None:
+        cells = np.zeros(n, dtype=np.intp)
+    else:
+        colours = np.asarray(colours)
+        if colours.shape[:1] != (n,):
+            raise DimensionMismatchError(f"colours shape {colours.shape} vs n={n}")
+        cells = _labels(colours.reshape(n, -1))
     graphs = [net.adjacency]
     if weights is not None:
         weights = np.asarray(weights, dtype=float)

@@ -42,8 +42,9 @@ colours and so constant on cells, and D is constant on every pair of
 distinct cells (pairs inside a cell need no check, since their price
 differences are zero).  Otherwise, and for every ``Halfspaces`` set, the
 method runs on all n markets.  The partition and the cell data do not
-depend on delta and are memoised per regulation in ``prim.cell_forms``,
-which ``MarketPrimitives.at`` shares, so a sweep forms them once.
+depend on delta, nor do a full-n set's halfspaces: the method's input is
+memoised per regulation in ``prim.active_set_inputs``, which
+``MarketPrimitives.at`` shares, so a sweep forms it once.
 
 ``project`` memoises its price per ``(prim, k)`` on the primitives and
 returns it read-only, so the outcome, the gap and the certificate of one
@@ -269,6 +270,15 @@ def _check_dim(got, n):
         raise DimensionMismatchError(f"regulation dimension {got} vs n={n}")
 
 
+def _halfspaces(prim: MarketPrimitives, k: RegulationSet) -> tuple[np.ndarray, np.ndarray]:
+    """``halfspace_form(k, n)``, read from the projection's memo when it
+    holds k's rows on all n markets, so that no second dense copy is built."""
+    form = prim.active_set_inputs.get(k)
+    if form is None or form.lift is not None:
+        return halfspace_form(k, prim.n)
+    return form.rows, form.offsets
+
+
 def contains(prim: MarketPrimitives, k: RegulationSet, p) -> bool:
     """Membership test with a ``MEMBERSHIP_TOL`` slack relative to ``1 + max|p|``."""
     p = np.asarray(p, dtype=float)
@@ -277,7 +287,7 @@ def contains(prim: MarketPrimitives, k: RegulationSet, p) -> bool:
         return True
     if isinstance(k, Uniform):
         return float(p.max() - p.min()) <= scale
-    vmat, offsets = halfspace_form(k, prim.n)
+    vmat, offsets = _halfspaces(prim, k)
     return bool(np.all(vmat @ p <= offsets + scale * (1.0 + np.abs(vmat).sum(axis=1))))
 
 
@@ -457,19 +467,20 @@ def _closed_form(k: RegulationSet) -> bool:
     )
 
 
-class _CellForm(NamedTuple):
-    """A cell-invariant set in cell coordinates ``z = C^{1/2} y``, where a
-    price constant on cells is ``p = y[labels]`` and C holds the cell sizes."""
+class _ActiveSetInput(NamedTuple):
+    """The delta-free input of the active-set method for one set: its
+    halfspaces on all n markets, or a cell-invariant set in the cell
+    coordinates ``z = C^{1/2} y`` of its equitable partition, where a price
+    constant on cells is ``p = y[labels]`` and C holds the cell sizes."""
 
-    labels: np.ndarray  # the cell of each market
-    root: np.ndarray  # C^{1/2}
-    quotient: np.ndarray  # Q_s = C^{-1/2} P'GP C^{-1/2}
+    metric: np.ndarray  # G, or Q_s = C^{-1/2} P'GP C^{-1/2}
+    start: np.ndarray  # the unrestricted price: p_ur, or C^{1/2} y_ur
     rows: np.ndarray
     offsets: np.ndarray
-    z_ur: np.ndarray  # the unrestricted price, C^{1/2} y_ur
+    lift: tuple | None  # for cells: the cell of each market, and C^{1/2}
 
 
-def _cell_form(prim: MarketPrimitives, k: RegulationSet) -> _CellForm | None:
+def _cell_form(prim: MarketPrimitives, k: RegulationSet) -> _ActiveSetInput | None:
     """``k`` in the cell coordinates of the equitable partition of G
     coloured by ``p_ur`` and k's bounds (refined against the caps D as a
     second graph); None when ``k`` is not a box or difference caps, the
@@ -483,7 +494,7 @@ def _cell_form(prim: MarketPrimitives, k: RegulationSet) -> _CellForm | None:
     on cells.  On those prices the metric is ``(I - delta*Q_s)^-1``, and the
     set is k's halfspaces among the cells' first markets, each column scaled
     by ``C^{-1/2}``.  All of this is delta-free: ``_projected`` memoises it
-    in ``prim.cell_forms``, which ``at`` shares.
+    in ``prim.active_set_inputs``, which ``at`` shares.
     """
     if not isinstance(k, (Box, PriceDifference)):
         return None
@@ -518,7 +529,7 @@ def _cell_form(prim: MarketPrimitives, k: RegulationSet) -> _CellForm | None:
     # Q_s[I, J] = s_IJ * sqrt(C_I / C_J), symmetric
     into = np.add.reduceat(prim.net.adjacency[first][:, order], starts, axis=1)
     quotient = into * root[:, None] / root
-    return _CellForm(labels, root, 0.5 * (quotient + quotient.T), rows / root, offsets, root * q[first])
+    return _ActiveSetInput(0.5 * (quotient + quotient.T), root * q[first], rows / root, offsets, (labels, root))
 
 
 def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
@@ -526,20 +537,20 @@ def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     if not _closed_form(k):
         if isinstance(prim.delta, np.ndarray):
             raise UnsupportedRegulationError(f"kind {k.kind!r} has no closed form: project one spillover at a time")
-        if k not in prim.cell_forms:
-            prim.cell_forms[k] = _cell_form(prim, k)
-        cells = prim.cell_forms[k]
-        if cells is None:
-            g, start, (vmat, offsets) = prim.net.adjacency, q, halfspace_form(k, prim.n)
-        else:
-            g, start, vmat, offsets = cells.quotient, cells.z_ur, cells.rows, cells.offsets
-        if offsets.shape[0] == 0:
+        form = prim.active_set_inputs.get(k)
+        if form is None:
+            form = _cell_form(prim, k)
+            if form is None:
+                form = _ActiveSetInput(prim.net.adjacency, q, *halfspace_form(k, prim.n), None)
+            prim.active_set_inputs[k] = form
+        if form.offsets.shape[0] == 0:
             return q  # every bound infinite
-        x = _active_set_projection(prim.delta, g, vmat, offsets, start)
-        if cells is None:
+        x = _active_set_projection(prim.delta, form.metric, form.rows, form.offsets, form.start)
+        if form.lift is None:
             return x
+        labels, root = form.lift
         # lifted relative to p_ur, so that a slack set returns p_ur's bits
-        return q + ((x - start) / cells.root)[cells.labels]
+        return q + ((x - form.start) / root)[labels]
     if isinstance(k, Unrestricted):
         return _rows(prim, q)
     if isinstance(k, PriceDifference):
@@ -604,7 +615,7 @@ def pareto_certificate(prim: MarketPrimitives, k: RegulationSet) -> Certificate:
         return Certificate(True, eta=0.0)
     rises = isinstance(k, Uniform)  # no halfspace form; its level is free
     if not rises:
-        vmat, _ = halfspace_form(k, prim.n)
+        vmat, _ = _halfspaces(prim, k)
         rises = bool(np.any(np.all(vmat <= 0.0, axis=0)) or np.all(vmat.sum(axis=1) <= 0.0))
     if rises:
         return Certificate(False, reason="prices rise freely, so the set leaves every supporting halfspace")

@@ -178,6 +178,11 @@ class TestWelfareDirection:
         second = netreg.welfare_direction_large_delta(net, mirror)
         assert {first, second} == {WelfareDirection.CONSUMERS_GAIN, WelfareDirection.CONSUMERS_LOSE}
 
+    def test_wrong_length_values(self, core_periphery):
+        for n in (8, 10):
+            with pytest.raises(netreg.DimensionMismatchError):
+                netreg.welfare_direction_large_delta(core_periphery, np.linspace(5.0, 15.0, n))
+
     def test_end_to_end_surplus_movement(self, rng):
         # the predicted direction must show up in measured ratios near the bound
         for _ in range(6):
@@ -212,57 +217,95 @@ class TestWelfareDirection:
         assert max(ratios_seq) <= 2.0 * min(ratios_seq) + 1e-6
 
 
+def _relabelled(net, perm):
+    """``net`` with its node i renamed ``perm[i]``."""
+    g = np.empty_like(net.adjacency)
+    g[np.ix_(perm, perm)] = net.adjacency
+    return netreg.build_network(g)
+
+
 class TestTwoType:
     def test_core_periphery(self, core_periphery):
-        tt = netreg.verify_two_type(core_periphery, (0, 1, 2))
-        assert tt.verified
-        w1_tilde = netreg.demean(netreg.eigencentrality(core_periphery))
-        assert w1_tilde[0] / w1_tilde[3] == pytest.approx(-2.0, rel=1e-6)
-        assert tt.psi_levels[0] / tt.psi_levels[1] == pytest.approx(-2.0, rel=1e-6)
+        # psi is constant on the detected types, at levels -|V2|/|V1| apart
+        cells = netreg.equitable_partition(core_periphery)
+        assert cells[0] != cells[3]
+        stat = netreg.psi(core_periphery)
+        for values in (stat.psi, netreg.eigencentrality(core_periphery)):
+            for j in (0, 1):
+                assert np.ptp(values[cells == j]) <= 1e-12
+        assert stat.psi[0] / stat.psi[3] == pytest.approx(-2.0, rel=1e-9)
 
     def test_bipartite(self):
         net = netreg.gen_complete_bipartite(2, 10)
-        tt = netreg.verify_two_type(net, (0, 1))
-        assert tt.verified
-        assert tt.psi_levels[0] / tt.psi_levels[1] == pytest.approx(-5.0, rel=1e-6)
-
-    def test_complete_rejects_any_split(self):
-        tt = netreg.verify_two_type(netreg.gen_complete(9), (0, 1, 2))
-        assert not tt.verified
-
-    def test_wrong_split_rejected(self, core_periphery):
-        tt = netreg.verify_two_type(core_periphery, (0, 3))
-        assert not tt.verified
-
-    def test_bad_partition(self, core_periphery):
-        with pytest.raises(netreg.BadPartitionError):
-            netreg.verify_two_type(core_periphery, ())
-        with pytest.raises(netreg.BadPartitionError):
-            netreg.verify_two_type(core_periphery, tuple(range(9)))
-        with pytest.raises(netreg.BadPartitionError):
-            netreg.verify_two_type(core_periphery, (0, 0, 1))
+        for theta, expected in (
+            ((20.0, 10.0), WelfareDirection.CONSUMERS_GAIN),
+            ((10.0, 20.0), WelfareDirection.CONSUMERS_LOSE),
+            ((15.0, 15.0), WelfareDirection.INDETERMINATE),
+        ):
+            assert netreg.two_type_welfare_direction(net, theta_values(net, (0, 1), *theta)) is expected
 
     def test_direction_by_part_averages(self, core_periphery):
-        tt = netreg.verify_two_type(core_periphery, (0, 1, 2))
         gain = theta_values(core_periphery, (0, 1, 2), 20.0, 10.0)
         lose = theta_values(core_periphery, (0, 1, 2), 10.0, 20.0)
         flat = theta_values(core_periphery, (0, 1, 2), 15.0, 15.0)
-        assert netreg.two_type_welfare_direction(tt, gain) is WelfareDirection.CONSUMERS_GAIN
-        assert netreg.two_type_welfare_direction(tt, lose) is WelfareDirection.CONSUMERS_LOSE
-        assert netreg.two_type_welfare_direction(tt, flat) is WelfareDirection.INDETERMINATE
+        assert netreg.two_type_welfare_direction(core_periphery, gain) is WelfareDirection.CONSUMERS_GAIN
+        assert netreg.two_type_welfare_direction(core_periphery, lose) is WelfareDirection.CONSUMERS_LOSE
+        assert netreg.two_type_welfare_direction(core_periphery, flat) is WelfareDirection.INDETERMINATE
+        # only the averages count: moving value within a type changes nothing
+        spread = gain + np.array([4.0, -4.0, 0.0, 9.0, -3.0, -6.0, 1.0, -1.0, 0.0])
+        assert netreg.two_type_welfare_direction(core_periphery, spread) is WelfareDirection.CONSUMERS_GAIN
 
     def test_orientation_independent_of_part_order(self):
-        # listing the periphery as part 1 must not flip the comparison
-        net = netreg.gen_core_periphery(3, 2)
-        tt = netreg.verify_two_type(net, tuple(range(3, 9)))
-        assert tt.verified
-        gain = theta_values(net, (0, 1, 2), 20.0, 10.0)
-        assert netreg.two_type_welfare_direction(tt, gain) is WelfareDirection.CONSUMERS_GAIN
+        # listing the periphery first must not flip the comparison
+        perm = np.array([6, 7, 8, 0, 1, 2, 3, 4, 5])  # core i becomes node 6 + i
+        net = _relabelled(netreg.gen_core_periphery(3, 2), perm)
+        gain = theta_values(net, (6, 7, 8), 20.0, 10.0)
+        assert netreg.two_type_welfare_direction(net, gain) is WelfareDirection.CONSUMERS_GAIN
 
-    def test_unverified_rejected(self, core_periphery):
-        tt = netreg.verify_two_type(core_periphery, (0, 3))
-        with pytest.raises(netreg.UnverifiedPartitionError):
-            netreg.two_type_welfare_direction(tt, np.ones(9))
+    def test_regular_graphs_have_one_type(self):
+        for net in (netreg.gen_complete(9), netreg.gen_complete_bipartite(4, 4), netreg.gen_complete(2)):
+            a = np.linspace(5.0, 15.0, net.n)
+            with pytest.raises(netreg.AssumptionViolatedError, match="found 1"):
+                netreg.two_type_welfare_direction(net, a)
+
+    def test_three_types_rejected(self):
+        labels = np.repeat(np.arange(3), (1, 2, 3))
+        net = netreg.build_network((labels[:, None] != labels).astype(float))
+        with pytest.raises(netreg.AssumptionViolatedError, match="found 3"):
+            netreg.two_type_welfare_direction(net, np.linspace(5.0, 15.0, 6))
+
+    def test_types_are_exact(self):
+        # one edge heavier by 1e-12 splits the types, whose weight sums then
+        # differ in binary, though w1 moves by far less than 1e-8
+        g = netreg.gen_complete_bipartite(2, 10).adjacency.copy()
+        g[0, 2] = g[2, 0] = 1.0 + 1e-12
+        net = netreg.build_network(g)
+        with pytest.raises(netreg.AssumptionViolatedError, match="found 4"):
+            netreg.two_type_welfare_direction(net, theta_values(net, (0, 1), 20.0, 10.0))
+
+    def test_wrong_length_values(self, core_periphery):
+        for n in (5, 12):
+            with pytest.raises(netreg.DimensionMismatchError):
+                netreg.two_type_welfare_direction(core_periphery, np.linspace(5.0, 15.0, n))
+
+    def test_matches_the_psi_rule(self, rng):
+        # on random relabelled two-type graphs and values, the type averages
+        # decide exactly as corr(psi, a) does
+        checked = 0
+        for _ in range(60):
+            if rng.uniform() < 0.5:
+                net = netreg.gen_core_periphery(int(rng.integers(2, 6)), int(rng.integers(1, 5)))
+            else:
+                m, k = rng.choice(np.arange(1, 9), size=2, replace=False)
+                net = netreg.gen_complete_bipartite(int(m), int(k))
+            net = _relabelled(net, rng.permutation(net.n))
+            a = rng.uniform(5.0, 15.0, net.n)
+            if abs(netreg.corr(netreg.psi(net).psi, a)) < 1e-6:
+                continue  # inside the 1e-10 band, either rule may say indeterminate
+            expected = netreg.welfare_direction_large_delta(net, a)
+            assert netreg.two_type_welfare_direction(net, a) is expected
+            checked += 1
+        assert checked >= 50
 
 
 class TestSmallDeltaGain:

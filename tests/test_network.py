@@ -572,6 +572,12 @@ class TestEquitablePartition:
         colours[3, 1] = -np.inf
         assert len(_cells(netreg.equitable_partition(core_periphery, colours))) == 5
 
+    def test_colours_of_the_wrong_length(self, core_periphery):
+        # 18 values would read as nine pairs, 5 would not reshape
+        for colours in (np.arange(18.0), np.arange(5.0), np.zeros((8, 2)), 1.0):
+            with pytest.raises(netreg.DimensionMismatchError):
+                netreg.equitable_partition(core_periphery, colours)
+
     def test_random_graphs(self, rng):
         for n in (5, 12, 30):
             g = ring_with_chords(rng, n, n // 2)

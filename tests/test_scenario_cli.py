@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,8 +479,6 @@ class TestNamedExperiments:
 
 class TestShippedScenarios:
     def test_all_parse_and_sweep(self):
-        from pathlib import Path
-
         root = Path(__file__).resolve().parent.parent / "scenarios"
         paths = sorted(root.glob("*.scn"))
         assert len(paths) >= 3
@@ -534,6 +533,16 @@ class TestCli:
         assert "inefficient" in out
         assert "neutral" in out
         assert "consumers gain" in out
+
+    def test_analyze_two_types(self, capsys):
+        # the shipped core-periphery scenario: its detected types decide as corr(psi, a)
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "core_periphery_uniform.scn"
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        assert netreg.corr(netreg.psi(scenario.network).psi, scenario.a) > 0.0
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "network types: 2 (of 3 and 6 markets)" in out
+        assert "two-type welfare direction: consumers gain from a discrimination ban" in out
 
     def test_analyze_without_ban_analysis(self, tmp_path, capsys):
         # flat values make the discrimination-ban analysis inapplicable

@@ -64,6 +64,22 @@ def test_no_unreferenced_private_functions():
     assert unreferenced == []
 
 
+def test_every_error_is_raised_or_caught():
+    # an exception class that no module but errors.py names has lost its
+    # last caller; __init__.py only re-exports
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    assert classes
+    named = {
+        node.id
+        for path in SRC.glob("*.py")
+        if path.name not in ("errors.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name)
+    }
+    assert sorted(classes - named) == []
+
+
 def test_runtime_imports_are_numpy_and_the_standard_library():
     # scipy and the test tools stay test-only
     allowed = set(sys.stdlib_module_names) | {"numpy", "netreg"}
