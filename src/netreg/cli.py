@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discrimination import WelfareDirection, two_type_welfare_direction, welfare_direction_large_delta
+from .discrimination import WelfareDirection, _by_type, welfare_direction_large_delta
 from .errors import NetregError, NumericalError, UnsupportedRegulationError, ValidationError
 from .market import MarketPrimitives
 from .network import equitable_partition
@@ -72,7 +72,8 @@ def cmd_analyze(args) -> int:
         )
         print(f"limit ratios: surplus {limit.limit_r_v:.6g}   profit {limit.limit_r_pi:.6g}")
 
-    sizes = np.sort(np.bincount(equitable_partition(scenario.network)))
+    types = equitable_partition(scenario.network)  # refined once, for both lines that use it
+    sizes = np.sort(np.bincount(types))
     two_type = sizes.shape[0] == 2
     print(f"network types: {sizes.shape[0]}" + (f" (of {sizes[0]} and {sizes[1]} markets)" if two_type else ""))
 
@@ -90,7 +91,7 @@ def cmd_analyze(args) -> int:
         }
         print(f"uniform-pricing welfare direction: {wording[direction]}")
         if two_type:
-            by_type = two_type_welfare_direction(scenario.network, scenario.a)
+            by_type = _by_type(scenario.network, types, scenario.a)
             print(f"two-type welfare direction: {wording[by_type]}")
     return 0
 

@@ -140,8 +140,12 @@ def two_type_welfare_direction(net: Network, a) -> WelfareDirection:
     positive multiple of the demeaned ``w1``.  The sign of ``<psi, a>`` is
     then that of the more central type's mean value minus the other's.
     """
+    return _by_type(net, equitable_partition(net), a)
+
+
+def _by_type(net: Network, cells: np.ndarray, a) -> WelfareDirection:
+    """:func:`two_type_welfare_direction` with the types ``cells`` given."""
     a = _values(net, a)
-    cells = equitable_partition(net)
     sizes = np.bincount(cells)
     if sizes.shape[0] != 2:
         raise AssumptionViolatedError(f"the two-type rule needs 2 network types, found {sizes.shape[0]}")

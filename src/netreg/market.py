@@ -30,10 +30,10 @@ A sweep evaluates one market ``(G, a, c)`` at many spillovers.
 :class:`MarketPrimitives` therefore keeps two kinds of cache: data that
 depends on ``delta`` (``h_hat``, the projection memo) and data that does not
 (``half_gap_hat``, ``unrestricted_hat``, and ``active_set_inputs``, each
-active-set regulation's halfspaces, on its equitable quotient if it has
-one).  :meth:`MarketPrimitives.at` gives the same market at another
-spillover, or at a column of them, sharing the second kind and starting
-the first empty.
+active-set regulation's halfspaces on its equitable quotient, or on all n
+markets for a sweep).  :meth:`MarketPrimitives.at` gives the same market
+at another spillover, or at a column of them, sharing the second kind and
+starting the first empty.
 
 The welfare routines are row-wise: given prices as rows, :func:`ratios` and
 :func:`a_statistic` return one value per row.  A market whose ``delta`` is a
@@ -164,10 +164,13 @@ class MarketPrimitives:
 
     @cached_property
     def active_set_inputs(self) -> dict:
-        """Memo of each active-set regulation's projection input in
-        ``regulation._projected``: its halfspaces on all n markets, or in
-        the cell coordinates of its equitable partition.  It does not depend
-        on delta, so :meth:`at` shares it."""
+        """Memo of each active-set regulation's projection input
+        (``regulation._active_set_input``): its halfspaces in the cell
+        coordinates of its equitable partition, or None when it has none.
+        ``regulation.gap_parts`` replaces None with the halfspaces on all n
+        markets for a block's rows, so a sweep forms them once and a lone
+        projection does not keep them.  It does not depend on delta, so
+        :meth:`at` shares it."""
         return {}
 
     @cached_property

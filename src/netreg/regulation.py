@@ -41,10 +41,13 @@ distinct values needs one sort to rule it out), the bounds are
 colours and so constant on cells, and D is constant on every pair of
 distinct cells (pairs inside a cell need no check, since their price
 differences are zero).  Otherwise, and for every ``Halfspaces`` set, the
-method runs on all n markets.  The partition and the cell data do not
-depend on delta, nor do a full-n set's halfspaces: the method's input is
-memoised per regulation in ``prim.active_set_inputs``, which
-``MarketPrimitives.at`` shares, so a sweep forms it once.
+method runs on all n markets.  The method's input does not depend on
+delta and is memoised per regulation in ``prim.active_set_inputs``, which
+``MarketPrimitives.at`` shares: the partition and the cell data always,
+and a full-n set's halfspaces (n(n-1) x n doubles for difference caps)
+only for the rows of a sweep block (``gap_parts``), so that a sweep forms
+them once and a lone projection frees them with its result, not with the
+market.
 
 ``project`` memoises its price per ``(prim, k)`` on the primitives and
 returns it read-only, so the outcome, the gap and the certificate of one
@@ -270,15 +273,6 @@ def _check_dim(got, n):
         raise DimensionMismatchError(f"regulation dimension {got} vs n={n}")
 
 
-def _halfspaces(prim: MarketPrimitives, k: RegulationSet) -> tuple[np.ndarray, np.ndarray]:
-    """``halfspace_form(k, n)``, read from the projection's memo when it
-    holds k's rows on all n markets, so that no second dense copy is built."""
-    form = prim.active_set_inputs.get(k)
-    if form is None or form.lift is not None:
-        return halfspace_form(k, prim.n)
-    return form.rows, form.offsets
-
-
 def contains(prim: MarketPrimitives, k: RegulationSet, p) -> bool:
     """Membership test with a ``MEMBERSHIP_TOL`` slack relative to ``1 + max|p|``."""
     p = np.asarray(p, dtype=float)
@@ -287,7 +281,7 @@ def contains(prim: MarketPrimitives, k: RegulationSet, p) -> bool:
         return True
     if isinstance(k, Uniform):
         return float(p.max() - p.min()) <= scale
-    vmat, offsets = _halfspaces(prim, k)
+    vmat, offsets = halfspace_form(k, prim.n)
     return bool(np.all(vmat @ p <= offsets + scale * (1.0 + np.abs(vmat).sum(axis=1))))
 
 
@@ -493,8 +487,8 @@ def _cell_form(prim: MarketPrimitives, k: RegulationSet) -> _ActiveSetInput | No
     the cap; pairs inside a cell have none), so the H-projection is constant
     on cells.  On those prices the metric is ``(I - delta*Q_s)^-1``, and the
     set is k's halfspaces among the cells' first markets, each column scaled
-    by ``C^{-1/2}``.  All of this is delta-free: ``_projected`` memoises it
-    in ``prim.active_set_inputs``, which ``at`` shares.
+    by ``C^{-1/2}``.  All of this is delta-free: ``_active_set_input``
+    memoises it in ``prim.active_set_inputs``, which ``at`` shares.
     """
     if not isinstance(k, (Box, PriceDifference)):
         return None
@@ -532,17 +526,25 @@ def _cell_form(prim: MarketPrimitives, k: RegulationSet) -> _ActiveSetInput | No
     return _ActiveSetInput(0.5 * (quotient + quotient.T), root * q[first], rows / root, offsets, (labels, root))
 
 
+def _active_set_input(prim: MarketPrimitives, k: RegulationSet) -> _ActiveSetInput:
+    """k's input to the active-set method: its cell form, memoised in
+    ``prim.active_set_inputs`` (None there when it has none), or else its
+    halfspaces on all n markets, read from the memo when ``gap_parts`` has
+    put them there for a block's rows and formed afresh otherwise."""
+    if k not in prim.active_set_inputs:
+        prim.active_set_inputs[k] = _cell_form(prim, k)
+    form = prim.active_set_inputs[k]
+    if form is None:
+        form = _ActiveSetInput(prim.net.adjacency, unrestricted_price(prim), *halfspace_form(k, prim.n), None)
+    return form
+
+
 def _projected(prim: MarketPrimitives, k: RegulationSet) -> np.ndarray:
     q = unrestricted_price(prim)
     if not _closed_form(k):
         if isinstance(prim.delta, np.ndarray):
             raise UnsupportedRegulationError(f"kind {k.kind!r} has no closed form: project one spillover at a time")
-        form = prim.active_set_inputs.get(k)
-        if form is None:
-            form = _cell_form(prim, k)
-            if form is None:
-                form = _ActiveSetInput(prim.net.adjacency, q, *halfspace_form(k, prim.n), None)
-            prim.active_set_inputs[k] = form
+        form = _active_set_input(prim, k)
         if form.offsets.shape[0] == 0:
             return q  # every bound infinite
         x = _active_set_projection(prim.delta, form.metric, form.rows, form.offsets, form.start)
@@ -615,7 +617,7 @@ def pareto_certificate(prim: MarketPrimitives, k: RegulationSet) -> Certificate:
         return Certificate(True, eta=0.0)
     rises = isinstance(k, Uniform)  # no halfspace form; its level is free
     if not rises:
-        vmat, _ = _halfspaces(prim, k)
+        vmat, _ = halfspace_form(k, prim.n)
         rises = bool(np.any(np.all(vmat <= 0.0, axis=0)) or np.all(vmat.sum(axis=1) <= 0.0))
     if rises:
         return Certificate(False, reason="prices rise freely, so the set leaves every supporting halfspace")
@@ -736,8 +738,10 @@ def gap_parts(block: MarketPrimitives, k: RegulationSet):
     :meth:`MarketPrimitives.at`), or at one spillover, its own block of one
     row, whose projection memo it then shares.  A closed-form regulation is
     projected once, for all rows; any other is projected row by row, cold at
-    each row's spillover (``block.at``), until a projection fails.  The rest
-    is evaluated for all projected rows at once.  ``failure`` is None, or
+    each row's spillover (``block.at``), until a projection fails; the rows
+    share one delta-free input in ``block.active_set_inputs``, k's
+    halfspaces on all n markets included.  The rest is evaluated for all
+    projected rows at once.  ``failure`` is None, or
     ``(row, error)`` for the first row that fails, by its first failing
     check: its projection (a closed-form projection fails at every row or
     none), tau* below -1e-9 (``OutOfRangeError``: the frontier is undefined
@@ -748,6 +752,8 @@ def gap_parts(block: MarketPrimitives, k: RegulationSet):
     markets = (block.at(delta) for delta in block.delta[:, 0].tolist()) if per_row else [block]
     prices, failure = [], None
     try:
+        if per_row:
+            block.active_set_inputs[k] = _active_set_input(block, k)
         for market in markets:
             prices.append(project(market, k))
     except NetregError as err:

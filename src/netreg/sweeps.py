@@ -14,7 +14,7 @@ grow with the grid.  A block is that market at a column of spillovers,
 uniform, zero caps, a point box, an average-price cap) in one
 ``regulation.project`` call, and active-set rows one by one.  The rows of
 an active-set sweep share the delta-free halfspaces of its regulation
-(``prim.active_set_inputs``), formed once per sweep: a box or difference
+(``market.active_set_inputs``), formed once per sweep: a box or difference
 caps that respect the network's types, as in the named difference-cap
 families, are partitioned into equitable cells, and each row solves a
 problem in one variable per cell, not per market.  It then

@@ -237,6 +237,8 @@ class TestTwoType:
 
     def test_bipartite(self):
         net = netreg.gen_complete_bipartite(2, 10)
+        stat = netreg.psi(net)
+        assert stat.psi[0] / stat.psi[2] == pytest.approx(-5.0, rel=1e-9)  # -|V2|/|V1|
         for theta, expected in (
             ((20.0, 10.0), WelfareDirection.CONSUMERS_GAIN),
             ((10.0, 20.0), WelfareDirection.CONSUMERS_LOSE),

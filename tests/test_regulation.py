@@ -478,7 +478,7 @@ class TestCertificates:
     def test_difference_caps_inefficient(self, rng):
         prim = cp_prim()
         reg = random_difference_caps(rng, 9, 0.1, 1.0)
-        netreg.pareto_certificate(prim, reg)
+        assert not netreg.pareto_certificate(prim, reg).efficient
 
     def test_vacuous_difference_caps_efficient(self):
         # caps as wide as the unrestricted spread leave the optimum feasible
@@ -505,7 +505,7 @@ class TestCertificates:
         prim = random_primitives(rng, net)
         pur = netreg.unrestricted_price(prim)
         reg = netreg.Box(lower=np.full(5, -np.inf), upper=pur - rng.uniform(0.1, 1.0, 5))
-        netreg.pareto_certificate(prim, reg)
+        assert not netreg.pareto_certificate(prim, reg).efficient
 
     @pytest.mark.parametrize("delta_fraction", [None, 1.0 - 1e-6], ids=["random", "near_bound"])
     def test_average_price_round_trip(self, rng, delta_fraction):
@@ -781,6 +781,7 @@ class TestCellQuotient:
             return form(*args)
 
         monkeypatch.setattr(netreg.regulation, "halfspace_form", counting)
+        monkeypatch.setattr(netreg.sweeps, "BLOCK_ELEMENTS", 9 * 5)  # blocks of 5 rows
         (scenario,) = [s for stem, s in netreg.sweeps.experiment_scenarios("figB2a", 12).items() if stem.endswith("cap2.5")]
         scenario = dataclasses.replace(scenario, a=rng.uniform(15.0, 25.0, 9))  # distinct values: all n markets
         with active_set_columns() as columns:
@@ -788,14 +789,13 @@ class TestCellQuotient:
         assert columns == [9] * 12 and len(rows) == 12
         assert len(calls) == 1
 
-    def test_certificate_reads_the_memoised_rows(self, rng, monkeypatch):
-        # a second dense copy of a full-n set's rows would double the peak memory
+    def test_lone_projection_keeps_no_full_n_rows(self, rng):
+        # n(n-1) x n rows held by the market would outlive the projection
         prim = random_primitives(rng, netreg.gen_core_periphery(3, 2), delta_fraction=0.9)
         reg = netreg.PriceDifference(delta_matrix=1.0 - np.eye(9))
-        netreg.project(prim, reg)
-        monkeypatch.setattr(netreg.regulation, "halfspace_form", None)  # must not be called
-        netreg.pareto_certificate(prim, reg)
+        netreg.gap(prim, reg)
         assert netreg.regulation.contains(prim, reg, netreg.project(prim, reg))
+        assert prim.active_set_inputs == {reg: None}
 
     def test_distinct_values_skip_the_partition(self, rng, monkeypatch):
         monkeypatch.setattr(netreg.regulation, "equitable_partition", None)  # must not be called

@@ -534,15 +534,25 @@ class TestCli:
         assert "neutral" in out
         assert "consumers gain" in out
 
-    def test_analyze_two_types(self, capsys):
+    def test_analyze_two_types(self, capsys, monkeypatch):
         # the shipped core-periphery scenario: its detected types decide as corr(psi, a)
         path = Path(__file__).resolve().parent.parent / "scenarios" / "core_periphery_uniform.scn"
         scenario = parse_scenario(path.read_text(encoding="utf-8"))
         assert netreg.corr(netreg.psi(scenario.network).psi, scenario.a) > 0.0
+        partition = netreg.network.equitable_partition
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return partition(*args)
+
+        for module in (netreg.cli, netreg.discrimination):
+            monkeypatch.setattr(module, "equitable_partition", counting)
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
         assert "network types: 2 (of 3 and 6 markets)" in out
         assert "two-type welfare direction: consumers gain from a discrimination ban" in out
+        assert len(calls) == 1  # both lines read one refinement
 
     def test_analyze_without_ban_analysis(self, tmp_path, capsys):
         # flat values make the discrimination-ban analysis inapplicable
